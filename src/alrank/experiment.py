@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -119,6 +120,13 @@ def make_bundle(
     )
 
 
+def _write_replacing(path: Path, write) -> None:
+    """write(tmp) to a sibling temp file, then rename it over `path` in one step."""
+    tmp = path.with_name(path.name + ".tmp")
+    write(tmp)
+    os.replace(tmp, path)
+
+
 @dataclass
 class IterationState:
     iteration: int
@@ -187,16 +195,25 @@ class Experiment:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         payload = asdict(self.config)
         payload["fingerprint"] = self.config.fingerprint()
-        (self.out_dir / "config.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2, default=str), encoding="utf-8"
+        text = json.dumps(payload, sort_keys=True, indent=2, default=str)
+        _write_replacing(
+            self.out_dir / "config.json", lambda tmp: tmp.write_text(text, encoding="utf-8")
         )
 
-    def _persist(self, state: IterationState, sel_state: RankerState) -> None:
+    def _persist(self, state: IterationState, sel_state: RankerState | None = None) -> None:
+        """Write the iteration's checkpoint (if given), then its JSON, which marks
+        the iteration as committed. A kill leaves each file whole or absent."""
         if self.out_dir is None:
             return
-        save_checkpoint(sel_state, self.out_dir / state.checkpoint_name)
-        path = self.out_dir / f"iter_{state.iteration:04d}.json"
-        path.write_text(json.dumps(state.to_json(), sort_keys=True), encoding="utf-8")
+        if sel_state is not None:
+            _write_replacing(
+                self.out_dir / state.checkpoint_name, lambda tmp: save_checkpoint(sel_state, tmp)
+            )
+        text = json.dumps(state.to_json(), sort_keys=True)
+        _write_replacing(
+            self.out_dir / f"iter_{state.iteration:04d}.json",
+            lambda tmp: tmp.write_text(text, encoding="utf-8"),
+        )
 
     def _load_persisted(self) -> list[IterationState]:
         assert self.out_dir is not None
@@ -251,7 +268,7 @@ class Experiment:
             if not pool:
                 if states:
                     states[-1].stop_reason = "pool exhausted"
-                    self._persist_stop(states[-1])
+                    self._persist(states[-1])
                 break
             s_i = min(cfg.batch_for(i), len(pool))
             selected, extra_hours = self._select(i, s_i, pool, prev_sel_state, triplets)
@@ -278,12 +295,6 @@ class Experiment:
             states.append(state)
             self._persist(state, sel_state)
         return states
-
-    def _persist_stop(self, state: IterationState) -> None:
-        if self.out_dir is None:
-            return
-        path = self.out_dir / f"iter_{state.iteration:04d}.json"
-        path.write_text(json.dumps(state.to_json(), sort_keys=True), encoding="utf-8")
 
     # -- phases ------------------------------------------------------------
 

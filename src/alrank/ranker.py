@@ -3,6 +3,14 @@
 All three share a RankNet pairwise loss and plain SGD. Feature/embedding
 hashing is keyed by a config seed so states are fully reproducible.
 
+Training is sparse: a triplet's gradient is a block over only the weight rows
+it touches (its query's and documents' buckets or hashed features), added into
+the mini-batch gradient at those rows, and the SGD update rewrites only the
+rows the batch touched. Each touched row receives the same float additions in
+the same order as a dense per-triplet gradient summed into a dense batch
+gradient, and an untouched row would only see `+ 0.0` and `- 0.0`, so the
+trained weights are bit-identical to the dense algorithm's.
+
 Cross-scorer feature map (hashed into `dim` signed buckets):
   - per distinct query term t with count c: key ``q|t``, value c / |q|
   - per distinct query term t occurring tf times in the doc (term overlap):
@@ -17,7 +25,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +50,6 @@ class RankerConfig:
     epochs_evaluation: int = 200
     batch_size: int = 32
     sigma: float = 1.0
-    early_stopping: bool = False
-    patience: int = 3
 
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
@@ -135,6 +141,7 @@ class Ranker:
         self._hasher = _Hasher(config.hash_seed)
         self._feature_cache: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         self._bucket_cache: dict[str, np.ndarray] = {}
+        self._param = "w" if config.architecture == "cross" else "emb"
 
     # -- state management -------------------------------------------------
 
@@ -147,10 +154,9 @@ class Ranker:
             rng = np.random.default_rng(seed)
             bound = 1.0 / math.sqrt(cfg.dim)
             weights = rng.uniform(-bound, bound, size=shape)
-        name = "w" if cfg.architecture == "cross" else "emb"
         return RankerState(
             architecture=cfg.architecture,
-            arrays={name: weights},
+            arrays={self._param: weights},
             step=0,
             config_fingerprint=cfg.fingerprint(),
         )
@@ -169,13 +175,13 @@ class Ranker:
 
     def cross_features(self, query_text: str, doc_text: str | None) -> tuple[np.ndarray, np.ndarray]:
         """Sparse hashed feature vector as (bucket indices, signed values)."""
-        q_tokens = tokenize(query_text)
-        if not q_tokens:
-            return np.zeros(0, dtype=np.int64), np.zeros(0)
         key = (query_text, doc_text if doc_text is not None else "\x00none")
         cached = self._feature_cache.get(key)
         if cached is not None:
             return cached
+        q_tokens = tokenize(query_text)
+        if not q_tokens:
+            return np.zeros(0, dtype=np.int64), np.zeros(0)
         q_counts: dict[str, int] = {}
         for t in q_tokens:
             q_counts[t] = q_counts.get(t, 0) + 1
@@ -259,44 +265,72 @@ class Ranker:
         pos_text: str,
         neg_text: str,
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """RankNet loss and dense gradient for a single triplet."""
-        s_pos = self.score(state, query_text, pos_text)
-        s_neg = self.score(state, query_text, neg_text)
-        loss = ranknet_loss(s_pos, s_neg, self.config.sigma)
-        g_pos, g_neg = ranknet_gradient(s_pos, s_neg, self.config.sigma)
-        grads = {k: np.zeros_like(v) for k, v in state.arrays.items()}
-        self._accumulate(state, grads, query_text, pos_text, g_pos)
-        self._accumulate(state, grads, query_text, neg_text, g_neg)
-        return loss, grads
+        """RankNet loss and dense gradient for a single triplet (the sparse
+        gradient of `_triplet_gradient` written into a zero array)."""
+        self._check_state(state)
+        weights = state.arrays[self._param]
+        loss, rows, block = self._triplet_gradient(weights, query_text, pos_text, neg_text)
+        grad = np.zeros_like(weights)
+        grad[rows] = block
+        return loss, {self._param: grad}
 
-    def _accumulate(
+    def _triplet_gradient(
         self,
-        state: RankerState,
-        grads: dict[str, np.ndarray],
+        weights: np.ndarray,
         query_text: str,
-        doc_text: str,
-        g: float,
-    ) -> None:
-        """Add g * d(score)/d(weights) into grads."""
+        pos_text: str,
+        neg_text: str,
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """RankNet loss of one triplet and its gradient over the rows it touches.
+
+        Returns (loss, rows, block): `rows` are the sorted distinct indices of
+        `weights` with a gradient term and `block[k]` is the gradient of row
+        `rows[k]`. Terms are added one occurrence at a time in a fixed order
+        (positive doc, then negative; within a doc, query rows, then doc rows),
+        so every row sums the same floats in the same order as a dense
+        `np.add.at` into a zero array would. The scores use the same
+        operations as `score`. A doc with no tokens, or a query with none,
+        scores 0 and adds no terms.
+        """
+        arch = self.config.architecture
         qb = self._buckets(query_text)
-        db = self._buckets(doc_text)
-        if qb.size == 0 or db.size == 0:
-            return
-        if state.architecture == "cross":
-            idx, vals = self.cross_features(query_text, doc_text)
-            np.add.at(grads["w"], idx, g * vals)
-            return
-        emb = state.arrays["emb"]
-        if state.architecture == "bi":
-            vq = emb[qb].mean(axis=0)
-            vd = emb[db].mean(axis=0)
-            np.add.at(grads["emb"], qb, g * vd / qb.size)
-            np.add.at(grads["emb"], db, g * vq / db.size)
-            return
-        sims = emb[qb] @ emb[db].T
-        best = sims.argmax(axis=1)
-        np.add.at(grads["emb"], qb, g * emb[db[best]])
-        np.add.at(grads["emb"], db[best], g * emb[qb])
+        if qb.size and arch != "cross":
+            eq = weights[qb]
+            vq = eq.mean(axis=0) if arch == "bi" else None
+        scores = [0.0, 0.0]
+        # per doc: (indices, vector, n) with d(score)/d(weights[indices]) = vector / n
+        partials: list[list[tuple]] = [[], []]
+        for k, doc_text in enumerate((pos_text, neg_text)):
+            db = self._buckets(doc_text)
+            if qb.size == 0 or db.size == 0:
+                continue
+            if arch == "cross":
+                idx, vals = self.cross_features(query_text, doc_text)
+                scores[k] = float(weights[idx] @ vals)
+                partials[k] = [(idx, vals, 1)]
+            elif arch == "bi":
+                vd = weights[db].mean(axis=0)
+                scores[k] = float(vq @ vd)
+                partials[k] = [(qb, vd, qb.size), (db, vq, db.size)]
+            else:
+                ed = weights[db]
+                sims = eq @ ed.T
+                best = sims.argmax(axis=1)
+                scores[k] = float(sims.max(axis=1).sum())
+                partials[k] = [(qb, ed[best], 1), (db[best], eq, 1)]
+        sigma = self.config.sigma
+        loss = ranknet_loss(scores[0], scores[1], sigma)
+        g_docs = ranknet_gradient(scores[0], scores[1], sigma)
+        terms = [(idx, g * vec / n) for g, doc in zip(g_docs, partials) for idx, vec, n in doc]
+        if not terms:
+            return loss, np.zeros(0, dtype=np.int64), np.zeros((0,) + weights.shape[1:])
+        rows, where = np.unique(np.concatenate([idx for idx, _ in terms]), return_inverse=True)
+        block = np.zeros((rows.size,) + weights.shape[1:])
+        start = 0
+        for idx, vals in terms:
+            np.add.at(block, where[start : start + idx.size], vals)
+            start += idx.size
+        return loss, rows, block
 
     def mean_loss(
         self,
@@ -320,12 +354,14 @@ class Ranker:
         queries: QuerySet,
         epochs: int,
         seed: int,
-        validation=None,
     ) -> RankerState:
         """SGD over shuffled mini-batches; pure in `state`, deterministic in seed.
 
-        `validation`, if given, maps a state to a metric monitored for early
-        stopping (checked every 10 epochs when the config enables it).
+        Each triplet's gradient covers only the rows it touches and is added
+        into the batch gradient at those rows; the update then changes only
+        the rows the batch touched. The result is bit-identical to summing
+        dense per-triplet gradients into a dense batch gradient and updating
+        every row (see the module docstring).
         """
         if not triplets:
             raise ValueError("cannot train on an empty triplet list")
@@ -340,34 +376,27 @@ class Ranker:
         self._check_state(state)
 
         new = state.copy()
+        weights = new.arrays[self._param]
+        batch_grads = np.zeros_like(weights)
+        texts = [
+            (queries[t.query_id], corpus[t.positive_id], corpus[t.negative_id]) for t in triplets
+        ]
         rng = np.random.default_rng(seed)
         cfg = self.config
         order = np.arange(len(triplets))
-        best_metric = -math.inf
-        strikes = 0
-        for epoch in range(epochs):
+        for _ in range(epochs):
             rng.shuffle(order)
             for start in range(0, len(order), cfg.batch_size):
-                batch = [triplets[i] for i in order[start : start + cfg.batch_size]]
-                batch_grads = {k: np.zeros_like(v) for k, v in new.arrays.items()}
-                for t in batch:
-                    _, grads = self.loss_and_gradient(
-                        new, queries[t.query_id], corpus[t.positive_id], corpus[t.negative_id]
-                    )
-                    for k, g in grads.items():
-                        batch_grads[k] += g
-                for k in new.arrays:
-                    new.arrays[k] -= cfg.learning_rate * batch_grads[k] / len(batch)
+                batch = order[start : start + cfg.batch_size]
+                touched = []
+                for i in batch:
+                    _, rows, block = self._triplet_gradient(weights, *texts[i])
+                    batch_grads[rows] += block
+                    touched.append(rows)
+                batch_rows = np.unique(np.concatenate(touched))
+                weights[batch_rows] -= cfg.learning_rate * batch_grads[batch_rows] / len(batch)
+                batch_grads[batch_rows] = 0.0
                 new.step += 1
-            if cfg.early_stopping and validation is not None and (epoch + 1) % 10 == 0:
-                metric = validation(new)
-                if metric > best_metric:
-                    best_metric = metric
-                    strikes = 0
-                else:
-                    strikes += 1
-                    if strikes >= cfg.patience:
-                        break
         return new
 
     def _check_state(self, state: RankerState) -> None:
@@ -401,19 +430,27 @@ def save_checkpoint(state: RankerState, path) -> None:
 
 def load_checkpoint(path, config: RankerConfig | None = None) -> RankerState:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a ranker checkpoint: {path}")
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(blob_len))
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
-        arrays = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-            arrays[spec["name"]] = data.astype(np.float64)
+        data = fh.read()
+    if data[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"not a ranker checkpoint: {path}")
+    offset = 8 + int.from_bytes(data[4:8], "little")
+    if len(data) < offset:
+        raise ValueError(f"truncated checkpoint {path}: {len(data)} bytes, header needs {offset}")
+    header = json.loads(data[8:offset])
+    if header["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {header['version']}")
+    shapes = {spec["name"]: tuple(spec["shape"]) for spec in header["arrays"]}
+    expected = offset + 8 * sum(math.prod(shape) for shape in shapes.values())
+    if len(data) < expected:
+        raise ValueError(
+            f"truncated checkpoint {path}: {len(data)} bytes, arrays need {expected}"
+        )
+    arrays = {}
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        data_view = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+        arrays[name] = data_view.reshape(shape).astype(np.float64)
+        offset += 8 * count
     state = RankerState(
         architecture=header["architecture"],
         arrays=arrays,

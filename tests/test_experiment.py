@@ -162,6 +162,38 @@ class TestResume:
             full_dir / "iter_0003.ckpt"
         ).read_bytes()
 
+    def test_resume_after_kill_while_writing_checkpoint(self, tiny_bundle, tmp_path):
+        config = tiny_config(iterations=3)
+        full_dir = tmp_path / "full"
+        part_dir = tmp_path / "part"
+        full_states = run_experiment(config, tiny_bundle, full_dir)
+        run_experiment(config, tiny_bundle, part_dir)
+        # a kill inside the last checkpoint write leaves only a partial temp file
+        ckpt = (part_dir / "iter_0003.ckpt").read_bytes()
+        (part_dir / "iter_0003.ckpt").unlink()
+        (part_dir / "iter_0003.json").unlink()
+        (part_dir / "iter_0003.ckpt.tmp").write_bytes(ckpt[: len(ckpt) // 2])
+        resumed = resume(config, tiny_bundle, part_dir)
+        assert [s.to_json() for s in resumed] == [s.to_json() for s in full_states]
+        assert sorted(p.name for p in part_dir.iterdir()) == sorted(
+            p.name for p in full_dir.iterdir()
+        )
+        assert (part_dir / "iter_0003.ckpt").read_bytes() == ckpt
+
+    def test_pool_exhaustion_is_persisted(self, tiny_bundle, tmp_path):
+        n = len(tiny_bundle.train_queries)
+        config = tiny_config(
+            iterations=4,
+            selection=SelectionConfig(strategy="random", samples_per_iteration=n, candidate_depth=20),
+        )
+        run_experiment(config, tiny_bundle, tmp_path)
+        raw = json.loads((tmp_path / "iter_0001.json").read_text())
+        assert raw["stop_reason"] == "pool exhausted"
+        assert sorted(p.name for p in tmp_path.glob("iter_*")) == [
+            "iter_0001.ckpt", "iter_0001.json"
+        ]
+        assert len(resume(config, tiny_bundle, tmp_path)) == 1
+
     def test_resume_complete_run_is_noop(self, tiny_bundle, tmp_path):
         config = tiny_config()
         run_experiment(config, tiny_bundle, tmp_path)

@@ -206,6 +206,99 @@ def test_full_model_gradient_finite_differences(arch):
         _finite_difference_check(arch, seed)
 
 
+def _oracle_loss_and_gradient(ranker, state, query, pos, neg):
+    """The dense per-triplet algorithm: a zero array of the full weight shape per
+    triplet, filled with np.add.at for the positive and then the negative doc."""
+    s_pos, s_neg = ranker.score(state, query, pos), ranker.score(state, query, neg)
+    g_pos, g_neg = ranknet_gradient(s_pos, s_neg, ranker.config.sigma)
+    grads = {k: np.zeros_like(v) for k, v in state.arrays.items()}
+    for doc, g in ((pos, g_pos), (neg, g_neg)):
+        qb, db = ranker._buckets(query), ranker._buckets(doc)
+        if qb.size == 0 or db.size == 0:
+            continue
+        if state.architecture == "cross":
+            idx, vals = ranker.cross_features(query, doc)
+            np.add.at(grads["w"], idx, g * vals)
+            continue
+        emb = state.arrays["emb"]
+        if state.architecture == "bi":
+            vq, vd = emb[qb].mean(axis=0), emb[db].mean(axis=0)
+            np.add.at(grads["emb"], qb, g * vd / qb.size)
+            np.add.at(grads["emb"], db, g * vq / db.size)
+            continue
+        best = (emb[qb] @ emb[db].T).argmax(axis=1)
+        np.add.at(grads["emb"], qb, g * emb[db[best]])
+        np.add.at(grads["emb"], db[best], g * emb[qb])
+    return ranknet_loss(s_pos, s_neg, ranker.config.sigma), grads
+
+
+def _oracle_train(ranker, state, triplets, corpus, queries, epochs, seed):
+    """Dense mini-batch SGD: every triplet's full gradient summed into a dense
+    batch gradient, then every weight updated."""
+    cfg = ranker.config
+    new = state.copy()
+    rng = np.random.default_rng(seed)
+    order = np.arange(len(triplets))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [triplets[i] for i in order[start : start + cfg.batch_size]]
+            batch_grads = {k: np.zeros_like(v) for k, v in new.arrays.items()}
+            for t in batch:
+                _, grads = _oracle_loss_and_gradient(
+                    ranker, new, queries[t.query_id], corpus[t.positive_id], corpus[t.negative_id]
+                )
+                for k, g in grads.items():
+                    batch_grads[k] += g
+            for k in new.arrays:
+                new.arrays[k] -= cfg.learning_rate * batch_grads[k] / len(batch)
+            new.step += 1
+    return new
+
+
+class TestSparseTrainingExactness:
+    """The sparse training step equals the dense algorithm bit for bit."""
+
+    # 8 buckets for 9 words: bucket collisions, repeated query tokens (duplicate
+    # rows and duplicate argmax rows) and texts without any token.
+    CORPUS = Corpus({
+        "d1": "apple pear fig apple", "d2": "kiwi plum", "d3": "fig fig fig date",
+        "d4": "lime date kiwi apple pear", "d5": "?!", "d6": "plum",
+    })
+    QUERIES = QuerySet({
+        "q1": "apple apple pear", "q2": "fig kiwi fig", "q3": "...", "q4": "date lime plum plum",
+    })
+    TRIPLETS = [
+        TrainingTriplet("q1", "d1", "d2"), TrainingTriplet("q2", "d3", "d5"),
+        TrainingTriplet("q3", "d4", "d6"), TrainingTriplet("q4", "d4", "d1"),
+        TrainingTriplet("q1", "d5", "d3"), TrainingTriplet("q2", "d2", "d4"),
+        TrainingTriplet("q4", "d6", "d2"),
+    ]
+
+    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    def test_gradient_equals_dense_oracle(self, arch):
+        ranker = small_ranker(arch, dim=6, buckets=8)
+        state = ranker.init_state(4)
+        for t in self.TRIPLETS:
+            texts = (
+                self.QUERIES[t.query_id], self.CORPUS[t.positive_id], self.CORPUS[t.negative_id]
+            )
+            loss, grads = ranker.loss_and_gradient(state, *texts)
+            want_loss, want = _oracle_loss_and_gradient(ranker, state, *texts)
+            assert loss == want_loss
+            assert grads.keys() == want.keys()
+            assert all(np.array_equal(grads[k], want[k]) for k in want), t
+
+    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    def test_train_equals_dense_oracle(self, arch):
+        ranker = small_ranker(arch, dim=6, buckets=8, batch_size=3, learning_rate=0.3)
+        state = ranker.init_state(11)
+        args = (self.TRIPLETS, self.CORPUS, self.QUERIES, 4, 7)
+        trained = ranker.train(state, *args)
+        assert trained == _oracle_train(ranker, state, *args)
+        assert trained != state
+
+
 class TestTraining:
     def _setup(self):
         corpus = Corpus({
@@ -297,6 +390,15 @@ class TestCheckpoint:
             q = " ".join(rng.choice(vocab, size=2))
             d = " ".join(rng.choice(vocab, size=3))
             assert ranker.score(loaded, q, d) == ranker.score(trained, q, d)
+
+    def test_truncated_checkpoint_names_the_file(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(small_ranker("maxsim").init_state(0), path)
+        data = path.read_bytes()
+        for size in (len(data) - 1, 20, 6):
+            path.write_bytes(data[:size])
+            with pytest.raises(ValueError, match=r"truncated checkpoint .*t\.ckpt"):
+                load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"
