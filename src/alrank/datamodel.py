@@ -71,9 +71,6 @@ class TextCollection:
     def items(self):
         return self._entries.items()
 
-    def subset(self, ids: list[str]) -> "TextCollection":
-        return type(self)({i: self._entries[i] for i in ids}, permissive=True)
-
 
 class Corpus(TextCollection):
     _kind = "document"
@@ -96,8 +93,10 @@ class Qrels:
                 raise ValueError(f"negative grade for ({qid}, {did}): {grade}")
         self._grades = dict(grades)
         self.threshold = threshold
+        self._by_query: dict[str, dict[str, int]] = {}
         self._relevant: dict[str, set[str]] = {}
         for (qid, did), grade in self._grades.items():
+            self._by_query.setdefault(qid, {})[did] = grade
             if grade >= threshold:
                 self._relevant.setdefault(qid, set()).add(did)
 
@@ -125,10 +124,10 @@ class Qrels:
         return set(self._relevant.get(qid, set()))
 
     def query_ids(self) -> set[str]:
-        return {qid for qid, _ in self._grades}
+        return set(self._by_query)
 
     def grades_for(self, qid: str) -> dict[str, int]:
-        return {d: g for (q, d), g in self._grades.items() if q == qid}
+        return dict(self._by_query.get(qid, {}))
 
     def items(self):
         return self._grades.items()

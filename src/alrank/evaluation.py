@@ -51,7 +51,8 @@ def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10, exponential_gain: bool = Fals
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    shared = [qid for qid in run.query_ids() if qid in qrels.query_ids()]
+    judged = qrels.query_ids()
+    shared = [qid for qid in run.query_ids() if qid in judged]
     if not shared:
         raise ValueError("run and qrels share no queries")
     per_query: dict[str, float] = {}

@@ -271,8 +271,8 @@ class Experiment:
                     self._persist(states[-1])
                 break
             s_i = min(cfg.batch_for(i), len(pool))
-            selected, extra_hours = self._select(i, s_i, pool, prev_sel_state, triplets)
-            new_triplets, records, pool = self._annotate(i, selected, pool, prev_sel_state)
+            selected, extra_hours, walk_state = self._select(i, s_i, pool, prev_sel_state, triplets)
+            new_triplets, records, pool = self._annotate(i, selected, pool, walk_state)
             ledger.update(i, records)
             triplets = triplets + new_triplets
 
@@ -306,12 +306,19 @@ class Experiment:
         prev_sel_state: RankerState | None,
         triplets: list[TrainingTriplet],
     ):
-        """Returns (selected, extra accelerator hours from committee training)."""
+        """Returns (selected, extra accelerator hours from committee training,
+        the state whose reranking the annotation walks: None for BM25 order).
+
+        When no pool query has a BM25 candidate, every walk is exhausted with
+        zero assessments whatever is selected, so the draw is random, as in
+        iteration 1.
+        """
         cfg = self.config
         strategy = cfg.selection.strategy
-        if i == 1 or strategy == "random":
+        hitless = not any(len(self.bundle.candidates[qid]) for qid in pool)
+        if i == 1 or strategy == "random" or hitless:
             rng = np.random.default_rng(derive_seed(cfg.master_seed, "subset", i))
-            return select_random(pool, s_i, rng), 0.0
+            return select_random(pool, s_i, rng), 0.0, None
         assert prev_sel_state is not None
         if strategy == "uncertainty":
             pairs = select_uncertainty(
@@ -325,10 +332,9 @@ class Experiment:
                 s_i,
                 one_pair_per_query=cfg.selection.one_pair_per_query,
             )
-            return [[qid, did] for qid, did, _ in pairs], 0.0
+            return [[qid, did] for qid, did, _ in pairs], 0.0, prev_sel_state
         if strategy == "qbc":
             committee, hours = self._train_committee(i, triplets)
-            self._committee = committee
             picked = select_qbc(
                 self.ranker,
                 committee,
@@ -340,21 +346,19 @@ class Experiment:
                 s_i,
                 pair_depth=cfg.selection.entropy_pair_depth,
             )
-            return [qid for qid, _ in picked], hours
+            return [qid for qid, _ in picked], hours, committee[0]
         if strategy == "diversity":
             rng = np.random.default_rng(derive_seed(cfg.master_seed, "kmeans", i))
-            return (
-                select_diversity(
-                    self.ranker,
-                    prev_sel_state,
-                    pool,
-                    self.bundle.train_queries,
-                    s_i,
-                    rng,
-                    max_iters=cfg.selection.kmeans_max_iters,
-                ),
-                0.0,
+            picked = select_diversity(
+                self.ranker,
+                prev_sel_state,
+                pool,
+                self.bundle.train_queries,
+                s_i,
+                rng,
+                max_iters=cfg.selection.kmeans_max_iters,
             )
+            return picked, 0.0, prev_sel_state
         raise ValueError(f"unknown strategy {strategy!r}")
 
     def _train_committee(self, i: int, triplets: list[TrainingTriplet]):
@@ -378,20 +382,19 @@ class Experiment:
             committee.append(member)
         return committee, hours
 
-    def _rerank_for_annotation(self, i: int, qid: str, prev_sel_state: RankerState | None) -> RankedList:
-        """Annotation walks the BM25 ranking in iteration 1 and for the random
-        baseline; otherwise the previous ranker's reranking (first committee
-        member for QBC)."""
+    def _rerank_for_annotation(self, qid: str, walk_state: RankerState | None) -> RankedList:
+        """The list the annotation walks: the BM25 candidates (iteration 1, the
+        random baseline), else `walk_state`'s reranking of them: the previous
+        ranker's, or the first committee member's for QBC. A query without
+        BM25 hits keeps its empty list: an exhausted walk of zero assessments."""
         candidates = self.bundle.candidates[qid].top(self.config.selection.candidate_depth)
-        strategy = self.config.selection.strategy
-        if i == 1 or strategy == "random" or prev_sel_state is None:
+        if walk_state is None or len(candidates) == 0:
             return candidates
-        state = prev_sel_state
-        if strategy == "qbc" and getattr(self, "_committee", None):
-            state = self._committee[0]
-        return self.ranker.rerank(state, self.bundle.train_queries[qid], candidates, self.bundle.corpus)
+        return self.ranker.rerank(
+            walk_state, self.bundle.train_queries[qid], candidates, self.bundle.corpus
+        )
 
-    def _annotate(self, i: int, selected: list, pool: list[str], prev_sel_state):
+    def _annotate(self, i: int, selected: list, pool: list[str], walk_state: RankerState | None):
         cfg = self.config
         is_pairs = bool(selected) and isinstance(selected[0], (list, tuple))
         new_triplets: list[TrainingTriplet] = []
@@ -405,7 +408,7 @@ class Experiment:
         # canonical order keeps ledger totals independent of scheduling
         for qid, did in sorted(items):
             rng = np.random.default_rng(derive_seed(cfg.master_seed, f"negatives|{qid}", i))
-            reranked = self._rerank_for_annotation(i, qid, prev_sel_state)
+            reranked = self._rerank_for_annotation(qid, walk_state)
             negatives = self.bundle.negatives[qid].top(cfg.negatives_depth)
             if did is None:
                 triplet, assessments = anno.annotate_query(
@@ -468,11 +471,6 @@ class Experiment:
             rankings[qid] = self.ranker.rerank(state, text, candidates, self.bundle.corpus)
         run = Run("eval", rankings)
         return ndcg_at_k(run, self.bundle.qrels, k=10).mean
-
-    # -- reporting ---------------------------------------------------------
-
-    def report_rows(self, states: list[IterationState], seed_label: int = 0) -> list[dict]:
-        return report_rows(self.config, states, seed_label)
 
 
 def report_rows(

@@ -3,6 +3,14 @@
 All three share a RankNet pairwise loss and plain SGD. Feature/embedding
 hashing is keyed by a config seed so states are fully reproducible.
 
+Scoring has one path, `Ranker.score_batch`: one query against a list of
+documents, each scored from the cached bucket arrays and cross features, so a
+text is tokenized once per ranker, not once per score. `score`, `rerank`,
+`mean_loss`, uncertainty and QBC selection and evaluation all go through it.
+Each document is scored with its own dot product or small matmul, as one
+`score` call did before; one big matmul or `np.add.reduceat` over all of them
+would change the last bit of some scores.
+
 Training is sparse: a triplet's gradient is a block over only the weight rows
 it touches (its query's and documents' buckets or hashed features), added into
 the mini-batch gradient at those rows, and the SGD update rewrites only the
@@ -211,27 +219,44 @@ class Ranker:
     # -- scoring -----------------------------------------------------------
 
     def score(self, state: RankerState, query_text: str, doc_text: str) -> float:
+        return float(self.score_batch(state, query_text, [doc_text])[0])
+
+    def score_batch(self, state: RankerState, query_text: str, doc_texts: list[str]) -> np.ndarray:
+        """Scores of one query against each document, in order.
+
+        A query or document with no tokens scores 0. Each score uses the same
+        operations as the training step's scores (see `_triplet_gradient`).
+        """
         self._check_state(state)
-        if not tokenize(query_text) or not tokenize(doc_text):
-            return 0.0
-        if state.architecture == "cross":
-            idx, vals = self.cross_features(query_text, doc_text)
-            return float(state.arrays["w"][idx] @ vals)
-        emb = state.arrays["emb"]
+        scores = np.zeros(len(doc_texts))
         qb = self._buckets(query_text)
-        db = self._buckets(doc_text)
-        if state.architecture == "bi":
-            vq = emb[qb].mean(axis=0)
-            vd = emb[db].mean(axis=0)
-            return float(vq @ vd)
-        sims = emb[qb] @ emb[db].T
-        return float(sims.max(axis=1).sum())
+        if qb.size == 0:
+            return scores
+        arch = state.architecture
+        if arch == "cross":
+            w = state.arrays["w"]
+            for k, doc_text in enumerate(doc_texts):
+                if self._buckets(doc_text).size:
+                    idx, vals = self.cross_features(query_text, doc_text)
+                    scores[k] = w[idx] @ vals
+            return scores
+        emb = state.arrays["emb"]
+        eq = emb[qb]
+        vq = eq.mean(axis=0) if arch == "bi" else None
+        for k, doc_text in enumerate(doc_texts):
+            db = self._buckets(doc_text)
+            if db.size == 0:
+                continue
+            if arch == "bi":
+                scores[k] = vq @ emb[db].mean(axis=0)
+            else:
+                scores[k] = (eq @ emb[db].T).max(axis=1).sum()
+        return scores
 
     def encode_query(self, state: RankerState, query_text: str) -> np.ndarray:
         """Length-`dim` query representation used by diversity selection."""
         self._check_state(state)
-        tokens = tokenize(query_text)
-        if not tokens:
+        if self._buckets(query_text).size == 0:
             return np.zeros(self.config.dim)
         if state.architecture == "cross":
             idx, vals = self.cross_features(query_text, None)
@@ -250,11 +275,9 @@ class Ranker:
         """Reorder a candidate list by ranker score (descending, doc-id tie-break)."""
         if len(candidates) == 0:
             raise ValueError(f"empty candidate list for query {candidates.query_id}")
-        scored = [
-            (did, self.score(state, query_text, corpus[did]))
-            for did in candidates.doc_ids()
-        ]
-        return RankedList(candidates.query_id, scored)
+        doc_ids = candidates.doc_ids()
+        scores = self.score_batch(state, query_text, [corpus[did] for did in doc_ids])
+        return RankedList(candidates.query_id, list(zip(doc_ids, scores.tolist())))
 
     # -- training ----------------------------------------------------------
 
@@ -341,8 +364,9 @@ class Ranker:
     ) -> float:
         total = 0.0
         for t in triplets:
-            s_pos = self.score(state, queries[t.query_id], corpus[t.positive_id])
-            s_neg = self.score(state, queries[t.query_id], corpus[t.negative_id])
+            s_pos, s_neg = self.score_batch(
+                state, queries[t.query_id], [corpus[t.positive_id], corpus[t.negative_id]]
+            ).tolist()
             total += ranknet_loss(s_pos, s_neg, self.config.sigma)
         return total / len(triplets)
 

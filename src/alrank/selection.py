@@ -65,9 +65,9 @@ def select_uncertainty(
     for qid in pool:
         if qid not in bm25_run:
             continue
-        query_text = queries[qid]
-        for did in bm25_run[qid].top(depth).doc_ids():
-            scored.append((qid, did, ranker.score(state, query_text, corpus[did])))
+        doc_ids = bm25_run[qid].top(depth).doc_ids()
+        scores = ranker.score_batch(state, queries[qid], [corpus[did] for did in doc_ids])
+        scored.extend((qid, did, score) for did, score in zip(doc_ids, scores.tolist()))
     if not scored:
         raise ValueError("no candidates available for uncertainty selection")
     mean = sum(score for _, _, score in scored) / len(scored)
@@ -105,18 +105,19 @@ def vote_entropy(member_rankings: list[RankedList], pair_depth: int | None = Non
     if depth < 2:
         raise ValueError("pair depth must be >= 2")
     top_docs = member_rankings[0].doc_ids()[:depth]
-    positions = [
-        {did: pos for pos, did in enumerate(r.doc_ids())} for r in member_rankings
-    ]
     m = len(member_rankings)
-    total = 0.0
-    for i, p_i in enumerate(top_docs):
-        for j, p_j in enumerate(top_docs):
-            if i == j:
-                continue
-            votes = sum(1 for pos in positions if pos[p_i] < pos[p_j])
-            if votes > 0:
-                total += votes * math.log(votes / m)
+    pos = np.empty((m, len(top_docs)), dtype=np.int64)
+    for k, r in enumerate(member_rankings):
+        position = {did: p for p, did in enumerate(r.doc_ids())}
+        pos[k] = [position[did] for did in top_docs]
+    # votes[i, j] = members ranking top_docs[i] above top_docs[j]; 0 on the
+    # diagonal, and votes[i, j] + votes[j, i] = m, so some term is nonzero
+    votes = (pos[:, :, None] < pos[:, None, :]).sum(axis=0)
+    nonzero = votes[votes > 0]  # row-major: the (i, j) order of a double loop
+    table = np.array([0.0] + [v * math.log(v / m) for v in range(1, m + 1)])
+    # cumsum adds one term at a time, in order, like a loop's `+=`; np.sum
+    # adds pairwise and would change the last bits
+    total = float(np.cumsum(table[nonzero])[-1])
     return -total / m
 
 
@@ -131,25 +132,32 @@ def select_qbc(
     s: int,
     pair_depth: int | None = None,
 ) -> list[tuple[str, float]]:
-    """Top-s pool queries by committee vote entropy, descending; (qid, VE) pairs."""
+    """Top-s pool queries by committee vote entropy, descending; (qid, VE) pairs.
+
+    A query with fewer than two candidates (no BM25 hits, say) has no pair to
+    vote on: it gets vote entropy 0.0 and follows every scored query, in id
+    order, so it is picked only when too few queries can be scored.
+    """
     if len(committee) < 2:
         raise ValueError("QBC requires a committee of at least 2")
     entropies: list[tuple[str, float]] = []
+    unscored: list[tuple[str, float]] = []
     for qid in pool:
         if qid not in bm25_run:
             continue
         candidates = bm25_run[qid].top(depth)
         if len(candidates) < 2:
+            unscored.append((qid, 0.0))
             continue
         rankings = [
             ranker.rerank(member, queries[qid], candidates, corpus)
             for member in committee
         ]
         entropies.append((qid, vote_entropy(rankings, pair_depth)))
-    if not entropies:
+    if not entropies and not unscored:
         raise ValueError("no candidates available for QBC selection")
     entropies.sort(key=lambda e: (-e[1], e[0]))
-    return entropies[:s]
+    return (entropies + sorted(unscored))[:s]
 
 
 def kmeans(

@@ -80,6 +80,17 @@ class TestQrelsParsing:
         assert qrels.is_relevant("q", "b")
         assert qrels.relevant_docs("q") == {"b"}
 
+    def test_per_query_index_matches_a_scan(self):
+        grades = {("q2", "c"): 0, ("q1", "b"): 2, ("q2", "a"): 1, ("q1", "a"): 1}
+        qrels = Qrels(grades)
+        assert qrels.query_ids() == {"q1", "q2"}
+        for qid in ("q1", "q2", "unjudged"):
+            want = {d: g for (q, d), g in grades.items() if q == qid}
+            got = qrels.grades_for(qid)
+            assert got == want and list(got) == list(want)
+        qrels.grades_for("q1")["z"] = 3  # a copy: the index is not changed
+        assert qrels.grades_for("q1") == {"b": 2, "a": 1}
+
 
 class TestRankedList:
     def test_sorted_with_docid_tiebreak(self):

@@ -1,7 +1,9 @@
 import json
+import shutil
 
 import pytest
 
+from alrank.datamodel import QuerySet
 from alrank.experiment import (
     Experiment,
     ExperimentConfig,
@@ -13,7 +15,7 @@ from alrank.experiment import (
     run_variability,
 )
 from alrank.ranker import RankerConfig, save_checkpoint
-from alrank.selection import SelectionConfig
+from alrank.selection import STRATEGIES, SelectionConfig
 
 TINY_RANKER = RankerConfig(
     architecture="cross", dim=64, hash_buckets=128,
@@ -146,6 +148,34 @@ class TestRunLoop:
             assert row["C_A"] == pytest.approx(row["assessments"] / 75 * 50, abs=1e-9)
 
 
+@pytest.fixture(scope="module")
+def hitless_bundle(tiny_data):
+    """tiny_bundle plus train queries whose terms occur in no document."""
+    corpus, train_q, test_q, qrels = tiny_data
+    texts = dict(train_q.items())
+    texts.update({f"hitless{i}": f"unseen{i} absent{i}" for i in range(4)})
+    return make_bundle(corpus, QuerySet(texts), test_q, qrels)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_hitless_train_queries_run_to_the_end(hitless_bundle, strategy):
+    hitless = {q for q in hitless_bundle.train_queries.ids() if q.startswith("hitless")}
+    assert all(len(hitless_bundle.candidates[q]) == 0 for q in hitless)
+    config = tiny_config(
+        strategy,
+        iterations=12,
+        selection=SelectionConfig(strategy=strategy, samples_per_iteration=4, candidate_depth=20),
+    )
+    states = run_experiment(config, hitless_bundle)
+    assert states[-1].stop_reason == "pool exhausted"
+    # each hitless query was picked after the first (random) draw and walked
+    # as an exhausted walk of zero assessments
+    walked = [r for st in states for r in st.records if r.query_id in hitless]
+    assert sorted(r.query_id for r in walked) == sorted(hitless)
+    assert all(r.outcome == "skipped" and r.assessments == 0 for r in walked)
+    assert all(r.iteration > 1 for r in walked)
+
+
 class TestResume:
     def test_resume_reproduces_interrupted_run(self, tiny_bundle, tmp_path):
         config = tiny_config(iterations=3)
@@ -161,6 +191,37 @@ class TestResume:
         assert (part_dir / "iter_0003.ckpt").read_bytes() == (
             full_dir / "iter_0003.ckpt"
         ).read_bytes()
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, tiny_bundle, tmp_path_factory):
+        """Run directory of an uninterrupted 4-iteration run, one per strategy."""
+        runs = {}
+
+        def get(strategy):
+            if strategy not in runs:
+                runs[strategy] = tmp_path_factory.mktemp(f"full-{strategy}")
+                run_experiment(tiny_config(strategy, iterations=4), tiny_bundle, runs[strategy])
+            return runs[strategy]
+
+        return get
+
+    @pytest.mark.parametrize("cut", [2, 3, 4])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_resume_at_every_cut_equals_uninterrupted_bytes(
+        self, uninterrupted, tiny_bundle, tmp_path, strategy, cut
+    ):
+        full_dir = uninterrupted(strategy)
+        part_dir = tmp_path / "part"
+        shutil.copytree(full_dir, part_dir)
+        # a run killed after iteration cut - 1 has only the earlier iterations
+        for k in range(cut, 5):
+            (part_dir / f"iter_{k:04d}.json").unlink()
+            (part_dir / f"iter_{k:04d}.ckpt").unlink()
+        resume(tiny_config(strategy, iterations=4), tiny_bundle, part_dir)
+        files = sorted(p.name for p in full_dir.iterdir())
+        assert sorted(p.name for p in part_dir.iterdir()) == files
+        for name in files:
+            assert (part_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
 
     def test_resume_after_kill_while_writing_checkpoint(self, tiny_bundle, tmp_path):
         config = tiny_config(iterations=3)

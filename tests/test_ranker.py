@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from alrank.datamodel import Corpus, QuerySet, RankedList, TrainingTriplet
+from alrank.lexical import tokenize
 from alrank.ranker import (
     Ranker,
     RankerConfig,
@@ -297,6 +298,70 @@ class TestSparseTrainingExactness:
         trained = ranker.train(state, *args)
         assert trained == _oracle_train(ranker, state, *args)
         assert trained != state
+
+
+def _oracle_score(ranker, state, query, doc):
+    """The one-document score from before batched scoring, which tokenized
+    both texts on every call."""
+    if not tokenize(query) or not tokenize(doc):
+        return 0.0
+    if state.architecture == "cross":
+        idx, vals = ranker.cross_features(query, doc)
+        return float(state.arrays["w"][idx] @ vals)
+    emb = state.arrays["emb"]
+    qb, db = ranker._buckets(query), ranker._buckets(doc)
+    if state.architecture == "bi":
+        return float(emb[qb].mean(axis=0) @ emb[db].mean(axis=0))
+    return float((emb[qb] @ emb[db].T).max(axis=1).sum())
+
+
+class TestScoreBatchExactness:
+    """score_batch equals per-document scoring bit for bit."""
+
+    @staticmethod
+    def _texts():
+        rng = np.random.default_rng(3)
+        words = [f"w{i}" for i in range(40)]
+        docs = [" ".join(rng.choice(words, size=rng.integers(1, 30))) for _ in range(60)]
+        # an empty doc, a punctuation-only doc and two repeated docs
+        docs += ["", "?! ...", docs[0], docs[5]]
+        queries = [" ".join(rng.choice(words, size=k)) for k in (1, 2, 3, 5, 8)]
+        return queries + ["", "..."], docs
+
+    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    def test_equals_per_document_scores(self, arch):
+        ranker = small_ranker(arch, dim=64, buckets=32)
+        oracle = small_ranker(arch, dim=64, buckets=32)
+        state = ranker.init_state(7)
+        queries, docs = self._texts()
+        for q in queries:
+            got = ranker.score_batch(state, q, docs)
+            assert got.shape == (len(docs),)
+            assert np.array_equal(got, [_oracle_score(oracle, state, q, d) for d in docs]), q
+            assert np.array_equal(got, [ranker.score(state, q, d) for d in docs]), q
+            assert ranker.score_batch(state, q, []).shape == (0,)
+        assert not ranker.score_batch(state, "...", docs).any()
+        assert ranker.score_batch(state, queries[0], ["", "?! ..."]).tolist() == [0.0, 0.0]
+
+    def test_rerank_and_mean_loss_use_the_same_scores(self):
+        ranker = small_ranker("maxsim", dim=64, buckets=32)
+        state = ranker.init_state(2)
+        queries, docs = self._texts()
+        corpus = Corpus({f"d{i}": d for i, d in enumerate(docs)}, permissive=True)
+        candidates = RankedList("q", [(did, 0.0) for did in corpus.ids()])
+        reranked = ranker.rerank(state, queries[3], candidates, corpus)
+        want = RankedList("q", [(did, _oracle_score(ranker, state, queries[3], corpus[did]))
+                                for did in corpus.ids()])
+        assert reranked.entries == want.entries
+        query_set = QuerySet({"q": queries[3]})
+        triplets = [TrainingTriplet("q", "d0", "d60"), TrainingTriplet("q", "d61", "d1"),
+                    TrainingTriplet("q", "d2", "d3")]
+        losses = [
+            ranknet_loss(_oracle_score(ranker, state, queries[3], corpus[t.positive_id]),
+                         _oracle_score(ranker, state, queries[3], corpus[t.negative_id]))
+            for t in triplets
+        ]
+        assert ranker.mean_loss(state, triplets, corpus, query_set) == sum(losses) / len(losses)
 
 
 class TestTraining:

@@ -18,17 +18,22 @@ from alrank.selection import (
 
 
 def oracle_vote_entropy(member_rankings, pair_depth=None):
-    """Independent pair-enumeration oracle for the committee disagreement score."""
+    """Independent pair-enumeration oracle for the committee disagreement score.
+
+    It adds one term per ordered pair, in (i, j) order, as the triple loop that
+    vote_entropy was before it was vectorised did, so the two are equal to the
+    bit.
+    """
     m = len(member_rankings)
     first = member_rankings[0].doc_ids()
     depth = pair_depth if pair_depth is not None else len(first)
     top = first[:depth]
+    positions = [{did: pos for pos, did in enumerate(r.doc_ids())} for r in member_rankings]
     total = 0.0
     for p_i, p_j in itertools.permutations(top, 2):
         n = 0
-        for r in member_rankings:
-            order = r.doc_ids()
-            if order.index(p_i) < order.index(p_j):
+        for pos in positions:
+            if pos[p_i] < pos[p_j]:
                 n += 1
         if n:
             total += n * math.log(n / m)
@@ -79,6 +84,9 @@ class TestSelectUncertainty:
             def score(self, state, q, d):
                 return {"x": 0.1, "y": 0.5}[d] if q == "one" else 0.9
 
+            def score_batch(self, state, q, docs):
+                return np.array([self.score(state, q, d) for d in docs])
+
         corpus = Corpus({"p1": "x", "p2": "y"})
         queries = QuerySet({"q1": "one", "q2": "two"})
         run = Run("t", {
@@ -92,6 +100,9 @@ class TestSelectUncertainty:
         class Flat:
             def score(self, state, q, d):
                 return 1.0
+
+            def score_batch(self, state, q, docs):
+                return np.array([self.score(state, q, d) for d in docs])
 
         corpus = Corpus({"a": "x", "b": "y"})
         queries = QuerySet({"q1": "t", "q2": "t2"})
@@ -170,6 +181,29 @@ class TestVoteEntropy:
             oracle_vote_entropy(rankings, pair_depth=3), rel=1e-12
         )
 
+    def test_equals_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for trial in range(120):
+            m = int(rng.integers(2, 6))
+            n = int(rng.integers(2, 101))
+            docs = [f"d{i}" for i in range(n)]
+            base = rng.permutation(n).astype(float)
+            # members perturb one base order, so vote counts span 0..m
+            rankings = [
+                RankedList("q", list(zip(docs, base + rng.normal(scale=n / 4, size=n))))
+                for _ in range(m)
+            ]
+            for pair_depth in (None, int(rng.integers(2, n + 1))):
+                got = vote_entropy(rankings, pair_depth)
+                want = oracle_vote_entropy(rankings, pair_depth)
+                assert got == want and math.copysign(1, got) == math.copysign(1, want), trial
+
+    def test_full_agreement_is_negative_zero_like_the_oracle(self):
+        r = RankedList("q", [(f"d{i}", float(i)) for i in range(7)])
+        got = vote_entropy([r, r, r])
+        assert got == oracle_vote_entropy([r, r, r]) == 0.0
+        assert math.copysign(1, got) == -1.0
+
     def test_mismatched_candidates(self):
         a = RankedList("q", [("a", 2.0), ("b", 1.0)])
         b = RankedList("q", [("a", 2.0), ("c", 1.0)])
@@ -246,6 +280,23 @@ class TestSelectQbc:
         assert [q for q, _ in out] == [q for q, _ in oracle[:3]]
         for (_, got), (_, want) in zip(out, oracle[:3]):
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_queries_without_pairs_have_zero_entropy(self):
+        corpus, queries, run = self._fixture()
+        rankings = dict(run.rankings)
+        rankings["q1"] = RankedList("q1", [])
+        rankings["q2"] = RankedList("q2", [("d0", 1.0)])
+        run = Run("bm25", rankings)
+        ranker = Ranker(RankerConfig(architecture="cross", dim=16))
+        committee = [ranker.init_state(1), ranker.init_state(2)]
+        out = select_qbc(ranker, committee, queries.ids(), queries, run, corpus, 6, 8)
+        # they follow every scored query, in id order
+        assert out[-2:] == [("q1", 0.0), ("q2", 0.0)]
+        assert [q for q, _ in out[:6]] == [q for q, _ in select_qbc(
+            ranker, committee, queries.ids(), queries, run, corpus, 6, 6)]
+        assert select_qbc(ranker, committee, ["q2", "q1"], queries, run, corpus, 6, 1) == [
+            ("q1", 0.0)
+        ]
 
     def test_committee_size_validation(self):
         corpus, queries, run = self._fixture()
