@@ -203,9 +203,9 @@ def cmd_run_al(args) -> int:
     return 0
 
 
-def cmd_resume(args) -> int:
-    out_dir = Path(args.out)
-    persisted = json.loads((out_dir / "config.json").read_text(encoding="utf-8"))
+def _load_run_config(run_dir: Path) -> ExperimentConfig:
+    """The ExperimentConfig a run directory's config.json was written from."""
+    persisted = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
     persisted.pop("fingerprint", None)
     flat = {}
     for key, value in persisted.items():
@@ -213,7 +213,12 @@ def cmd_resume(args) -> int:
             flat.update(value)
         else:
             flat[key] = value
-    config = config_from_dict(flat)
+    return config_from_dict(flat)
+
+
+def cmd_resume(args) -> int:
+    out_dir = Path(args.out)
+    config = _load_run_config(out_dir)
     provenance = json.loads((out_dir / "data.json").read_text(encoding="utf-8"))
     if provenance["kind"] == "synthetic":
         corpus, train_q, test_q, qrels = synthetic.generate_synthetic(
@@ -286,15 +291,7 @@ def cmd_run_variability(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.input)
-    persisted = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
-    persisted.pop("fingerprint", None)
-    flat = {}
-    for key, value in persisted.items():
-        if isinstance(value, dict):
-            flat.update(value)
-        else:
-            flat[key] = value
-    config = config_from_dict(flat)
+    config = _load_run_config(run_dir)
     states = [
         IterationState.from_json(json.loads(p.read_text(encoding="utf-8")))
         for p in sorted(run_dir.glob("iter_*.json"))

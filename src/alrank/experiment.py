@@ -399,7 +399,7 @@ class Experiment:
         is_pairs = bool(selected) and isinstance(selected[0], (list, tuple))
         new_triplets: list[TrainingTriplet] = []
         records: list[anno.AnnotationRecord] = []
-        touched_queries: list[str] = []
+        touched_queries: set[str] = set()
 
         if is_pairs:
             items = [(qid, did) for qid, did in selected]
@@ -426,12 +426,12 @@ class Experiment:
                     anno.AnnotationRecord(i, qid, "triplet", assessments,
                                           triplet.positive_id, triplet.negative_id)
                 )
-                touched_queries.append(qid)
+                touched_queries.add(qid)
             else:
                 records.append(anno.AnnotationRecord(i, qid, "skipped", assessments))
                 if not cfg.exhausted_back_to_pool:
-                    touched_queries.append(qid)
-        remaining = [q for q in pool if q not in set(touched_queries)]
+                    touched_queries.add(qid)
+        remaining = [q for q in pool if q not in touched_queries]
         return new_triplets, records, remaining
 
     def _train(self, i: int, triplets: list[TrainingTriplet]):

@@ -14,8 +14,10 @@ would change the last bit of some scores.
 Training is sparse: a triplet's gradient is a block over only the weight rows
 it touches (its query's and documents' buckets or hashed features), added into
 the mini-batch gradient at those rows, and the SGD update rewrites only the
-rows the batch touched. Each touched row receives the same float additions in
-the same order as a dense per-triplet gradient summed into a dense batch
+rows the batch touched. The block is filled by one 1-D `np.add.at` over its
+flattened elements, with the terms laid out in the order of the dense
+per-term fill. Each touched row receives the same float additions in the
+same order as a dense per-triplet gradient summed into a dense batch
 gradient, and an untouched row would only see `+ 0.0` and `- 0.0`, so the
 trained weights are bit-identical to the dense algorithm's.
 
@@ -308,12 +310,13 @@ class Ranker:
 
         Returns (loss, rows, block): `rows` are the sorted distinct indices of
         `weights` with a gradient term and `block[k]` is the gradient of row
-        `rows[k]`. Terms are added one occurrence at a time in a fixed order
-        (positive doc, then negative; within a doc, query rows, then doc rows),
-        so every row sums the same floats in the same order as a dense
-        `np.add.at` into a zero array would. The scores use the same
-        operations as `score`. A doc with no tokens, or a query with none,
-        scores 0 and adds no terms.
+        `rows[k]`. The terms are laid out in a fixed order (positive doc, then
+        negative; within a doc, query rows, then doc rows) and added by one
+        1-D `np.add.at` on the flattened block, which adds them one element
+        at a time in that order, so every element sums the same floats in the
+        same order as one `np.add.at` per term into a dense zero array would.
+        The scores use the same operations as `score`. A doc with no tokens,
+        or a query with none, scores 0 and adds no terms.
         """
         arch = self.config.architecture
         qb = self._buckets(query_text)
@@ -339,20 +342,30 @@ class Ranker:
                 ed = weights[db]
                 sims = eq @ ed.T
                 best = sims.argmax(axis=1)
-                scores[k] = float(sims.max(axis=1).sum())
+                scores[k] = float(sims[np.arange(best.size), best].sum())
                 partials[k] = [(qb, ed[best], 1), (db[best], eq, 1)]
         sigma = self.config.sigma
         loss = ranknet_loss(scores[0], scores[1], sigma)
         g_docs = ranknet_gradient(scores[0], scores[1], sigma)
-        terms = [(idx, g * vec / n) for g, doc in zip(g_docs, partials) for idx, vec, n in doc]
+        # x / 1.0 == x exactly, so the division is skipped when n == 1.
+        terms = [
+            (idx, g * vec if n == 1 else g * vec / n)
+            for g, doc in zip(g_docs, partials)
+            for idx, vec, n in doc
+        ]
         if not terms:
             return loss, np.zeros(0, dtype=np.int64), np.zeros((0,) + weights.shape[1:])
         rows, where = np.unique(np.concatenate([idx for idx, _ in terms]), return_inverse=True)
         block = np.zeros((rows.size,) + weights.shape[1:])
-        start = 0
-        for idx, vals in terms:
-            np.add.at(block, where[start : start + idx.size], vals)
-            start += idx.size
+        # bi's terms are one vector for all of a doc's rows; broadcast it to them.
+        values = np.concatenate([
+            vals if vals.ndim == weights.ndim else np.broadcast_to(vals, (idx.size, vals.size))
+            for idx, vals in terms
+        ])
+        if weights.ndim == 2:
+            width = weights.shape[1]
+            where = (where[:, None] * width + np.arange(width)).ravel()
+        np.add.at(block.reshape(-1), where, values.ravel())
         return loss, rows, block
 
     def mean_loss(

@@ -257,6 +257,33 @@ def _oracle_train(ranker, state, triplets, corpus, queries, epochs, seed):
     return new
 
 
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Byte equality, which (unlike np.array_equal) tells -0.0 from 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _realistic_training_data(seed: int, n_triplets: int = 100):
+    """Seeded texts over 40 words for 16 buckets: bucket collisions, queries with
+    repeated tokens, a token-less query and token-less docs."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(40)]
+
+    def text(words, lo, hi):
+        return " ".join(rng.choice(words, size=int(rng.integers(lo, hi + 1))))
+
+    docs = {f"d{i}": text(vocab, 1, 12) for i in range(40)}
+    docs.update({"e1": "?!", "e2": "--"})
+    queries = {f"q{i}": text(vocab[i % 30 : i % 30 + 4], 1, 6) for i in range(30)}
+    queries["q30"] = "..."
+    doc_ids, query_ids = list(docs), list(queries)
+    triplets = []
+    for _ in range(n_triplets):
+        pos, neg = rng.choice(len(doc_ids), size=2, replace=False)
+        qid = query_ids[int(rng.integers(len(query_ids)))]
+        triplets.append(TrainingTriplet(qid, doc_ids[pos], doc_ids[neg]))
+    return triplets, Corpus(docs), QuerySet(queries)
+
+
 class TestSparseTrainingExactness:
     """The sparse training step equals the dense algorithm bit for bit."""
 
@@ -289,6 +316,7 @@ class TestSparseTrainingExactness:
             assert loss == want_loss
             assert grads.keys() == want.keys()
             assert all(np.array_equal(grads[k], want[k]) for k in want), t
+            assert all(_same_bytes(grads[k], want[k]) for k in want), t
 
     @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
     def test_train_equals_dense_oracle(self, arch):
@@ -296,7 +324,26 @@ class TestSparseTrainingExactness:
         state = ranker.init_state(11)
         args = (self.TRIPLETS, self.CORPUS, self.QUERIES, 4, 7)
         trained = ranker.train(state, *args)
-        assert trained == _oracle_train(ranker, state, *args)
+        want = _oracle_train(ranker, state, *args)
+        assert trained == want
+        assert all(_same_bytes(trained.arrays[k], want.arrays[k]) for k in want.arrays)
+        assert trained != state
+
+    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    def test_realistic_width_equals_dense_oracle_bytes(self, arch):
+        triplets, corpus, queries = _realistic_training_data(seed=3)
+        ranker = small_ranker(arch, dim=64, buckets=16, batch_size=32, learning_rate=0.3)
+        state = ranker.init_state(2)
+        for t in triplets:
+            texts = (queries[t.query_id], corpus[t.positive_id], corpus[t.negative_id])
+            _, grads = ranker.loss_and_gradient(state, *texts)
+            _, want = _oracle_loss_and_gradient(ranker, state, *texts)
+            assert all(_same_bytes(grads[k], want[k]) for k in want), t
+        args = (triplets, corpus, queries, 3, 5)
+        trained = ranker.train(state, *args)
+        want = _oracle_train(ranker, state, *args)
+        assert trained == want
+        assert all(_same_bytes(trained.arrays[k], want.arrays[k]) for k in want.arrays)
         assert trained != state
 
 
