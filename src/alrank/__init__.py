@@ -24,7 +24,7 @@ from .experiment import (
     run_experiment,
     run_variability,
 )
-from .lexical import build_index, bm25_score, retrieve_topk, tokenize
+from .lexical import build_index, retrieve_topk, tokenize
 from .ranker import Ranker, RankerConfig, RankerState, load_checkpoint, ranknet_loss, save_checkpoint
 from .selection import (
     SelectionConfig,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 from . import datamodel, lexical, synthetic
@@ -17,6 +17,8 @@ from .experiment import (
     Experiment,
     ExperimentConfig,
     IterationState,
+    _write_replacing,
+    load_run,
     make_bundle,
     report_rows,
     run_variability,
@@ -75,6 +77,17 @@ def _coerce(value: str):
     return value
 
 
+# config key -> the run-al argument that sets it
+_ARG_KEYS = {
+    "strategy": "strategy",
+    "scenario": "scenario",
+    "iterations": "iterations",
+    "master_seed": "seed",
+    "initial_checkpoint": "initial_checkpoint",
+    "samples_per_iteration": "batch",
+}
+
+
 def _load_config(args) -> ExperimentConfig:
     data: dict = {}
     if getattr(args, "config", None):
@@ -82,12 +95,10 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "profile", None) == "desk":
         for key, value in DESK_PROFILE.items():
             data.setdefault(key, value)
-    for name in ("strategy", "scenario", "iterations", "master_seed", "initial_checkpoint"):
-        value = getattr(args, name.replace("master_seed", "seed"), None) if name == "master_seed" else getattr(args, name, None)
+    for key, arg in _ARG_KEYS.items():
+        value = getattr(args, arg, None)
         if value is not None:
-            data[name] = value
-    if getattr(args, "batch", None) is not None:
-        data["samples_per_iteration"] = args.batch
+            data[key] = value
     for override in getattr(args, "set", None) or []:
         if "=" not in override:
             raise ValueError(f"override must be key=value, got {override!r}")
@@ -96,32 +107,32 @@ def _load_config(args) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def _load_bundle_from_args(args, config: ExperimentConfig) -> tuple[DataBundle, dict]:
-    depth = config.selection.candidate_depth
+def _provenance_from_args(args) -> dict:
+    """Where the data comes from, as data.json records it."""
     if getattr(args, "synthetic", False):
-        seed = getattr(args, "synthetic_seed", 0) or 0
-        corpus, train_q, test_q, qrels = synthetic.generate_synthetic(synthetic.DESK_SPEC, seed)
-        provenance = {"kind": "synthetic", "seed": seed}
+        return {"kind": "synthetic", "seed": getattr(args, "synthetic_seed", 0) or 0}
+    names = ("corpus", "queries", "test_queries", "qrels")
+    for name in names:
+        if getattr(args, name, None) is None:
+            raise ValueError(f"missing required path: --{name.replace('_', '-')}")
+    return {"kind": "files", **{name: str(getattr(args, name)) for name in names}}
+
+
+def _bundle_from_provenance(provenance: dict, config: ExperimentConfig) -> DataBundle:
+    if provenance["kind"] == "synthetic":
+        corpus, train_q, test_q, qrels = synthetic.generate_synthetic(
+            synthetic.DESK_SPEC, provenance["seed"]
+        )
     else:
-        for name in ("corpus", "queries", "test_queries", "qrels"):
-            if getattr(args, name, None) is None:
-                raise ValueError(f"missing required path: --{name.replace('_', '-')}")
-        corpus = datamodel.parse_collection(args.corpus)
-        train_q = datamodel.parse_queries(args.queries)
-        test_q = datamodel.parse_queries(args.test_queries)
-        qrels = datamodel.parse_qrels(args.qrels)
-        provenance = {
-            "kind": "files",
-            "corpus": str(args.corpus),
-            "queries": str(args.queries),
-            "test_queries": str(args.test_queries),
-            "qrels": str(args.qrels),
-        }
-    bundle = make_bundle(
+        corpus = datamodel.parse_collection(provenance["corpus"])
+        train_q = datamodel.parse_queries(provenance["queries"])
+        test_q = datamodel.parse_queries(provenance["test_queries"])
+        qrels = datamodel.parse_qrels(provenance["qrels"])
+    return make_bundle(
         corpus, train_q, test_q, qrels,
-        candidate_depth=depth, negatives_depth=config.negatives_depth,
+        candidate_depth=config.selection.candidate_depth,
+        negatives_depth=config.negatives_depth,
     )
-    return bundle, provenance
 
 
 def _write_run_outputs(config: ExperimentConfig, states: list[IterationState], out_dir: Path) -> None:
@@ -193,47 +204,24 @@ def cmd_make_synthetic(args) -> int:
 
 def cmd_run_al(args) -> int:
     config = _load_config(args)
-    bundle, provenance = _load_bundle_from_args(args, config)
+    provenance = _provenance_from_args(args)
+    bundle = _bundle_from_provenance(provenance, config)
     out_dir = Path(args.out)
-    exp = Experiment(config, bundle, out_dir)
-    states = exp.run()
-    (out_dir / "data.json").write_text(json.dumps(provenance, sort_keys=True), encoding="utf-8")
+    # data.json first, so that `resume` can rebuild the bundle after a kill
+    out_dir.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(provenance, sort_keys=True)
+    _write_replacing(out_dir / "data.json", lambda tmp: tmp.write_text(text, encoding="utf-8"))
+    states = Experiment(config, bundle, out_dir).run()
     _write_run_outputs(config, states, out_dir)
     _print_summary(states)
     return 0
 
 
-def _load_run_config(run_dir: Path) -> ExperimentConfig:
-    """The ExperimentConfig a run directory's config.json was written from."""
-    persisted = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
-    persisted.pop("fingerprint", None)
-    flat = {}
-    for key, value in persisted.items():
-        if isinstance(value, dict):
-            flat.update(value)
-        else:
-            flat[key] = value
-    return config_from_dict(flat)
-
-
 def cmd_resume(args) -> int:
     out_dir = Path(args.out)
-    config = _load_run_config(out_dir)
+    config, _, _ = load_run(out_dir)
     provenance = json.loads((out_dir / "data.json").read_text(encoding="utf-8"))
-    if provenance["kind"] == "synthetic":
-        corpus, train_q, test_q, qrels = synthetic.generate_synthetic(
-            synthetic.DESK_SPEC, provenance["seed"]
-        )
-    else:
-        corpus = datamodel.parse_collection(provenance["corpus"])
-        train_q = datamodel.parse_queries(provenance["queries"])
-        test_q = datamodel.parse_queries(provenance["test_queries"])
-        qrels = datamodel.parse_qrels(provenance["qrels"])
-    bundle = make_bundle(
-        corpus, train_q, test_q, qrels,
-        candidate_depth=config.selection.candidate_depth,
-        negatives_depth=config.negatives_depth,
-    )
+    bundle = _bundle_from_provenance(provenance, config)
     states = Experiment(config, bundle, out_dir).resume()
     _write_run_outputs(config, states, out_dir)
     _print_summary(states)
@@ -277,7 +265,7 @@ def cmd_cost_calc(args) -> int:
 
 def cmd_run_variability(args) -> int:
     config = _load_config(args)
-    bundle, provenance = _load_bundle_from_args(args, config)
+    bundle = _bundle_from_provenance(_provenance_from_args(args), config)
     sizes = [int(s) for s in args.sizes.split(",")]
     records = run_variability(config, bundle, sizes, repeats=args.repeats)
     out_dir = Path(args.out)
@@ -291,11 +279,7 @@ def cmd_run_variability(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.input)
-    config = _load_run_config(run_dir)
-    states = [
-        IterationState.from_json(json.loads(p.read_text(encoding="utf-8")))
-        for p in sorted(run_dir.glob("iter_*.json"))
-    ]
+    config, _, states = load_run(run_dir)
     if not states:
         raise ValueError(f"no iteration states in {run_dir}")
     _write_run_outputs(config, states, run_dir)
@@ -321,7 +305,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", choices=["desk"], help="preset shrinking epochs/sizes")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--threads", type=int, default=1, help="worker thread bound (outputs are thread-count independent)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +43,9 @@ class ExperimentConfig:
     ranker: RankerConfig = field(default_factory=RankerConfig)
     cost: CostConfig = field(default_factory=CostConfig)
     master_seed: int = 0
-    random_repeats: int = 4
     negatives_depth: int = 1000
     training_hours_per_sample_epoch: float = 1e-6
     exhausted_back_to_pool: bool = False
-    eval_depth: int = 100
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -93,12 +91,8 @@ def make_bundle(
     qrels: Qrels,
     candidate_depth: int = 100,
     negatives_depth: int = 1000,
-    k1: float = 0.9,
-    b: float = 0.4,
-    index: InvertedIndex | None = None,
 ) -> DataBundle:
-    if index is None:
-        index = build_index(corpus, k1=k1, b=b)
+    index = build_index(corpus)
     candidates, negatives = {}, {}
     for qid, text in train_queries.items():
         full = retrieve_topk(index, text, negatives_depth, query_id=qid)
@@ -158,19 +152,41 @@ class IterationState:
 
     @classmethod
     def from_json(cls, data: dict) -> "IterationState":
-        return cls(
-            iteration=data["iteration"],
-            selected=data["selected"],
-            pool=data["pool"],
-            triplets=[TrainingTriplet(*t) for t in data["triplets"]],
-            records=[anno.AnnotationRecord(**r) for r in data["records"]],
-            assessments_cumulative=data["assessments_cumulative"],
-            ndcg10=data["ndcg10"],
-            training_hours=data["training_hours"],
-            selection_hours=data["selection_hours"],
-            checkpoint_name=data["checkpoint_name"],
-            stop_reason=data["stop_reason"],
-        )
+        return cls(**{
+            **data,
+            "triplets": [TrainingTriplet(*t) for t in data["triplets"]],
+            "records": [anno.AnnotationRecord(**r) for r in data["records"]],
+        })
+
+
+def _from_fields(cls, data: dict):
+    """`cls` built from the keys of `data` it has a field for. A config.json
+    written with other fields fails `Experiment.resume`'s fingerprint check."""
+    return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+
+
+def load_run(run_dir: str | Path) -> tuple[ExperimentConfig, str | None, list[IterationState]]:
+    """A run directory read back: the ExperimentConfig its config.json was
+    written from, the fingerprint stored with it, and the persisted iterations
+    in order."""
+    run_dir = Path(run_dir)
+    cfg_path = run_dir / "config.json"
+    if not cfg_path.exists():
+        raise ValueError(f"no persisted experiment in {run_dir}")
+    data = json.loads(cfg_path.read_text(encoding="utf-8"))
+    schedule = data.get("schedule")
+    config = _from_fields(ExperimentConfig, {
+        **data,
+        "schedule": tuple(schedule) if schedule is not None else None,
+        "selection": _from_fields(SelectionConfig, data["selection"]),
+        "ranker": _from_fields(RankerConfig, data["ranker"]),
+        "cost": _from_fields(CostConfig, data["cost"]),
+    })
+    states = [
+        IterationState.from_json(json.loads(path.read_text(encoding="utf-8")))
+        for path in sorted(run_dir.glob("iter_*.json"))
+    ]
+    return config, data.get("fingerprint"), states
 
 
 class Experiment:
@@ -190,9 +206,14 @@ class Experiment:
 
     # -- persistence -------------------------------------------------------
 
-    def _write_config(self) -> None:
+    def _start_run_dir(self) -> None:
+        """Delete the iteration and temp files of any earlier run in the
+        directory, then write config.json: the directory holds this run only."""
         assert self.out_dir is not None
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        for pattern in ("iter_*", "*.tmp"):
+            for path in self.out_dir.glob(pattern):
+                path.unlink(missing_ok=True)
         payload = asdict(self.config)
         payload["fingerprint"] = self.config.fingerprint()
         text = json.dumps(payload, sort_keys=True, indent=2, default=str)
@@ -215,34 +236,23 @@ class Experiment:
             lambda tmp: tmp.write_text(text, encoding="utf-8"),
         )
 
-    def _load_persisted(self) -> list[IterationState]:
-        assert self.out_dir is not None
-        states = []
-        for path in sorted(self.out_dir.glob("iter_*.json")):
-            states.append(IterationState.from_json(json.loads(path.read_text(encoding="utf-8"))))
-        return states
-
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> list[IterationState]:
         if self.out_dir is not None:
-            self._write_config()
+            self._start_run_dir()
         return self._run_from([], sorted(self.bundle.train_queries.ids()), None)
 
     def resume(self) -> list[IterationState]:
         """Continue a persisted run; no-op when already complete."""
         if self.out_dir is None:
             raise ValueError("resume requires an output directory")
-        cfg_path = self.out_dir / "config.json"
-        if not cfg_path.exists():
-            raise ValueError(f"no persisted experiment in {self.out_dir}")
-        persisted = json.loads(cfg_path.read_text(encoding="utf-8"))
-        if persisted.get("fingerprint") != self.config.fingerprint():
+        _, fingerprint, states = load_run(self.out_dir)
+        if fingerprint != self.config.fingerprint():
             raise ValueError(
                 "config fingerprint mismatch: persisted "
-                f"{persisted.get('fingerprint')} vs current {self.config.fingerprint()}"
+                f"{fingerprint} vs current {self.config.fingerprint()}"
             )
-        states = self._load_persisted()
         if not states:
             return self._run_from([], sorted(self.bundle.train_queries.ids()), None)
         last = states[-1]

@@ -15,12 +15,9 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 INDEX_FORMAT_VERSION = 1
 
 
-def tokenize(text: str, stopwords: frozenset[str] = frozenset()) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercase and split on any non-alphanumeric codepoint."""
-    tokens = _TOKEN_RE.findall(text.lower())
-    if stopwords:
-        tokens = [t for t in tokens if t not in stopwords]
-    return tokens
+    return _TOKEN_RE.findall(text.lower())
 
 
 class InvertedIndex:
@@ -47,19 +44,8 @@ class InvertedIndex:
         df = self.df.get(term, 0)
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
 
-    def term_frequency(self, term: str, ordinal: int) -> int:
-        for doc, tf in self.postings.get(term, ()):
-            if doc == ordinal:
-                return tf
-        return 0
 
-
-def build_index(
-    corpus: Corpus,
-    k1: float = 0.9,
-    b: float = 0.4,
-    stopwords: frozenset[str] = frozenset(),
-) -> InvertedIndex:
+def build_index(corpus: Corpus, k1: float = 0.9, b: float = 0.4) -> InvertedIndex:
     """Build an inverted index; deterministic for a given corpus."""
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
@@ -72,7 +58,7 @@ def build_index(
     postings: dict[str, list[tuple[int, int]]] = {}
     doc_lengths: list[int] = []
     for ordinal, doc_id in enumerate(doc_ids):
-        tokens = tokenize(corpus[doc_id], stopwords)
+        tokens = tokenize(corpus[doc_id])
         doc_lengths.append(len(tokens))
         counts: dict[str, int] = {}
         for t in tokens:
@@ -82,32 +68,11 @@ def build_index(
     return InvertedIndex(doc_ids, postings, doc_lengths, k1, b)
 
 
-def bm25_score(index: InvertedIndex, query_terms: list[str], ordinal: int) -> float:
-    """Sum of per-term BM25 contributions for one document."""
-    if index.avgdl == 0.0:
-        return 0.0
-    dl = index.doc_lengths[ordinal]
-    norm = index.k1 * (1.0 - index.b + index.b * dl / index.avgdl)
-    score = 0.0
-    for term in query_terms:
-        tf = index.term_frequency(term, ordinal)
-        if tf == 0:
-            continue
-        score += index.idf(term) * tf * (index.k1 + 1.0) / (tf + norm)
-    return score
-
-
-def retrieve_topk(
-    index: InvertedIndex,
-    query: str,
-    k: int,
-    query_id: str = "q",
-    stopwords: frozenset[str] = frozenset(),
-) -> RankedList:
+def retrieve_topk(index: InvertedIndex, query: str, k: int, query_id: str = "q") -> RankedList:
     """Top-k documents by BM25, zero-score documents excluded."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    terms = tokenize(query, stopwords)
+    terms = tokenize(query)
     if index.avgdl == 0.0 or not terms:
         return RankedList(query_id, [])
 

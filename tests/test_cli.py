@@ -2,13 +2,31 @@ import json
 
 import pytest
 
+from alrank.budget import CostConfig
 from alrank.cli import DESK_PROFILE, config_from_dict, main
+from alrank.experiment import Experiment, ExperimentConfig, load_run
+from alrank.ranker import RankerConfig
+from alrank.selection import SelectionConfig
+
+SMALL_RANKER = [
+    "--set", "dim=64", "--set", "hash_buckets=128",
+    "--set", "epochs_selection=2", "--set", "epochs_evaluation=3",
+    "--set", "learning_rate=0.3",
+]
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_files(run_dir) -> dict[str, bytes]:
+    """Every file under a run directory, keyed by its relative path."""
+    return {
+        path.relative_to(run_dir).as_posix(): path.read_bytes()
+        for path in sorted(run_dir.rglob("*")) if path.is_file()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -116,10 +134,7 @@ def run_dir(tmp_path_factory):
     code = main([
         "run-al", "--synthetic", "--out", str(out),
         "--strategy", "random", "--iterations", "2", "--batch", "5",
-        "--seed", "0",
-        "--set", "dim=64", "--set", "hash_buckets=128",
-        "--set", "epochs_selection=2", "--set", "epochs_evaluation=3",
-        "--set", "learning_rate=0.3",
+        "--seed", "0", *SMALL_RANKER,
     ])
     assert code == 0
     return out
@@ -155,10 +170,7 @@ class TestRunAl:
         argv = [
             "run-al", "--synthetic", "--out", str(out2),
             "--strategy", "random", "--iterations", "2", "--batch", "5",
-            "--seed", "0",
-            "--set", "dim=64", "--set", "hash_buckets=128",
-            "--set", "epochs_selection=2", "--set", "epochs_evaluation=3",
-            "--set", "learning_rate=0.3",
+            "--seed", "0", *SMALL_RANKER,
         ]
         assert main(argv) == 0
         capsys.readouterr()
@@ -183,15 +195,80 @@ class TestRunAl:
         assert code == 1 and "key=value" in err
 
 
+class Interrupted(Exception):
+    """Stands in for a kill of the process."""
+
+
+class TestRunDirectory:
+    def test_resume_after_kill_equals_uninterrupted_bytes(self, tmp_path, monkeypatch, capsys):
+        argv = [
+            "run-al", "--synthetic", "--strategy", "uncertainty", "--iterations", "3",
+            "--batch", "5", "--seed", "0", *SMALL_RANKER,
+        ]
+        full, killed = tmp_path / "full", tmp_path / "killed"
+        assert main(argv + ["--out", str(full)]) == 0
+
+        evaluate = Experiment.evaluate
+        calls = []
+
+        def evaluate_until_third(self, state):
+            calls.append(state)
+            if len(calls) == 3:
+                raise Interrupted
+            return evaluate(self, state)
+
+        monkeypatch.setattr(Experiment, "evaluate", evaluate_until_third)
+        with pytest.raises(Interrupted):
+            main(argv + ["--out", str(killed)])
+        monkeypatch.undo()
+        assert sorted(p.name for p in killed.glob("iter_*")) == [
+            "iter_0001.ckpt", "iter_0001.json", "iter_0002.ckpt", "iter_0002.json",
+        ]
+
+        code, _, err = run_cli(capsys, "resume", "--out", str(killed))
+        assert code == 0, err
+        assert run_files(killed) == run_files(full)
+
+    def test_rerun_into_used_dir_replaces_earlier_run(self, tmp_path, capsys):
+        argv = ["run-al", "--synthetic", "--strategy", "random", "--batch", "5", *SMALL_RANKER]
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert main(argv + ["--iterations", "4", "--seed", "0", "--out", str(used)]) == 0
+        for out in (used, fresh):
+            assert main(argv + ["--iterations", "2", "--seed", "7", "--out", str(out)]) == 0
+        assert sorted(p.name for p in used.glob("iter_*")) == [
+            "iter_0001.ckpt", "iter_0001.json", "iter_0002.ckpt", "iter_0002.json",
+        ]
+        capsys.readouterr()
+
+        reports = [run_cli(capsys, "report", "--in", str(out)) for out in (used, fresh)]
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0
+        assert run_files(used) == run_files(fresh)
+
+    def test_load_run_returns_the_written_config(self, tiny_bundle, tmp_path):
+        config = ExperimentConfig(
+            iterations=2,
+            schedule=(4, 3),
+            selection=SelectionConfig(strategy="diversity", kmeans_max_iters=20),
+            ranker=RankerConfig(dim=16, hash_buckets=32, epochs_selection=1, epochs_evaluation=2),
+            cost=CostConfig(gpu_cost_per_hour=2.0),
+            master_seed=5,
+            exhausted_back_to_pool=True,
+        )
+        states = Experiment(config, tiny_bundle, tmp_path).run()
+        loaded, fingerprint, loaded_states = load_run(tmp_path)
+        assert loaded == config
+        assert isinstance(loaded.schedule, tuple)
+        assert fingerprint == config.fingerprint() == loaded.fingerprint()
+        assert [s.to_json() for s in loaded_states] == [s.to_json() for s in states]
+
+
 class TestRunVariability:
     def test_smoke(self, tmp_path, capsys):
         out = tmp_path / "var"
         code, printed, _ = run_cli(
             capsys, "run-variability", "--synthetic", "--out", str(out),
-            "--sizes", "3,5", "--repeats", "2", "--seed", "0",
-            "--set", "dim=64", "--set", "hash_buckets=128",
-            "--set", "epochs_selection=2", "--set", "epochs_evaluation=3",
-            "--set", "learning_rate=0.3",
+            "--sizes", "3,5", "--repeats", "2", "--seed", "0", *SMALL_RANKER,
         )
         assert code == 0
         lines = (out / "variability.csv").read_text().splitlines()
