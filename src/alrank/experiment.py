@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -207,13 +208,16 @@ class Experiment:
     # -- persistence -------------------------------------------------------
 
     def _start_run_dir(self) -> None:
-        """Delete the iteration and temp files of any earlier run in the
-        directory, then write config.json: the directory holds this run only."""
+        """Delete the iteration, temp, assessment and report files of any
+        earlier run in the directory, then write config.json: the directory
+        holds this run only."""
         assert self.out_dir is not None
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        for pattern in ("iter_*", "*.tmp"):
+        for pattern in ("iter_*", "*.tmp", "assessments.csv"):
             for path in self.out_dir.glob(pattern):
                 path.unlink(missing_ok=True)
+        if (self.out_dir / "reports").is_dir():
+            shutil.rmtree(self.out_dir / "reports")
         payload = asdict(self.config)
         payload["fingerprint"] = self.config.fingerprint()
         text = json.dumps(payload, sort_keys=True, indent=2, default=str)

@@ -12,6 +12,10 @@ from .ranker import Ranker, RankerState
 
 STRATEGIES = ("random", "uncertainty", "qbc", "diversity")
 
+# floats of (rows, k, d) temporary per row block of the k-means distance pass:
+# 1 MB stays in cache
+_BLOCK_FLOATS = 2**17
+
 
 @dataclass(frozen=True)
 class SelectionConfig:
@@ -160,6 +164,18 @@ def select_qbc(
     return (entropies + sorted(unscored))[:s]
 
 
+def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances of every point to every centroid, one
+    broadcast per block of `_BLOCK_FLOATS // (k * d)` points."""
+    k, d = centroids.shape
+    rows = max(1, _BLOCK_FLOATS // max(k * d, 1))
+    out = np.empty((len(points), k))
+    for a in range(0, len(points), rows):
+        block = points[a : a + rows]
+        out[a : a + rows] = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return out
+
+
 def kmeans(
     points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int = 100
 ) -> np.ndarray:
@@ -167,6 +183,14 @@ def kmeans(
 
     Empty clusters are repaired by reseeding from the point farthest from its
     assigned centroid. Returns an assignment array of length len(points).
+
+    Seeding and every Lloyd pass take their distances from
+    `_squared_distances`, which works through the points in row blocks of
+    about `_BLOCK_FLOATS` (2**17) floats of (rows, k, d) temporary: 12 rows
+    at k=20, d=512, about 1 MB whatever n is. Each (i, c) entry is still one
+    sum over the same contiguous length-d row of squared differences, so the
+    distances, hence the argmin, the repair and the assignment, are
+    bit-identical to one (n, k, d) broadcast.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -178,7 +202,7 @@ def kmeans(
     # k-means++ initialization
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    closest_sq = ((points - centroids[0]) ** 2).sum(axis=1)
+    closest_sq = _squared_distances(points, centroids[0:1])[:, 0]
     for c in range(1, k):
         total = closest_sq.sum()
         if total == 0.0:
@@ -188,14 +212,16 @@ def kmeans(
             idx = int(np.searchsorted(np.cumsum(closest_sq), r))
             idx = min(idx, n - 1)
             centroids[c] = points[idx]
-        closest_sq = np.minimum(closest_sq, ((points - centroids[c]) ** 2).sum(axis=1))
+        closest_sq = np.minimum(
+            closest_sq, _squared_distances(points, centroids[c : c + 1])[:, 0]
+        )
 
     assignment = None
     for _iter in range(max_iters):
-        dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        dists = _squared_distances(points, centroids)
         new_assignment = dists.argmin(axis=1)
         # repair empty clusters: steal the farthest point from a cluster of >= 2
-        own_dist = dists[np.arange(n), new_assignment].copy()
+        own_dist = dists[np.arange(n), new_assignment]
         for c in range(k):
             if not (new_assignment == c).any():
                 counts = np.bincount(new_assignment, minlength=k)

@@ -245,6 +245,26 @@ class TestRunDirectory:
         assert reports[0][0] == 0
         assert run_files(used) == run_files(fresh)
 
+    def test_rerun_killed_in_first_iteration_leaves_no_earlier_outputs(
+        self, tmp_path, monkeypatch
+    ):
+        argv = [
+            "run-al", "--synthetic", "--strategy", "random", "--iterations", "2",
+            "--batch", "5", *SMALL_RANKER, "--out", str(tmp_path),
+        ]
+        assert main(argv + ["--seed", "0"]) == 0
+        assert (tmp_path / "assessments.csv").exists()
+        assert (tmp_path / "reports" / "results.csv").exists()
+
+        def killed(self, state):
+            raise Interrupted
+
+        monkeypatch.setattr(Experiment, "evaluate", killed)
+        with pytest.raises(Interrupted):
+            main(argv + ["--seed", "7"])
+        assert json.loads((tmp_path / "config.json").read_text())["master_seed"] == 7
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.json"]
+
     def test_load_run_returns_the_written_config(self, tiny_bundle, tmp_path):
         config = ExperimentConfig(
             iterations=2,

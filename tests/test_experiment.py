@@ -1,7 +1,11 @@
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alrank.datamodel import QuerySet
 from alrank.experiment import (
@@ -222,6 +226,42 @@ class TestResume:
         assert sorted(p.name for p in part_dir.iterdir()) == files
         for name in files:
             assert (part_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
+
+    # tempfile, not tmp_path: a function-scoped fixture would be shared by
+    # every example hypothesis draws
+    @settings(max_examples=12, deadline=None)
+    @given(
+        strategy=st.sampled_from(STRATEGIES),
+        master_seed=st.integers(0, 2**32 - 1),
+        iterations=st.integers(1, 4),
+        batch=st.integers(1, 5),
+        cut=st.integers(1, 4),
+    )
+    def test_resume_at_a_random_cut_equals_uninterrupted_bytes(
+        self, tiny_bundle, strategy, master_seed, iterations, batch, cut
+    ):
+        config = tiny_config(
+            strategy,
+            iterations=iterations,
+            master_seed=master_seed,
+            selection=SelectionConfig(
+                strategy=strategy, samples_per_iteration=batch, candidate_depth=20
+            ),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            full_dir, part_dir = Path(tmp) / "full", Path(tmp) / "part"
+            run_experiment(config, tiny_bundle, full_dir)
+            shutil.copytree(full_dir, part_dir)
+            # a run killed after iteration cut - 1 has only the earlier iterations
+            written = len(list(full_dir.glob("iter_*.json")))
+            for k in range(min(cut, written), written + 1):
+                (part_dir / f"iter_{k:04d}.json").unlink()
+                (part_dir / f"iter_{k:04d}.ckpt").unlink()
+            resume(config, tiny_bundle, part_dir)
+            files = sorted(p.name for p in full_dir.iterdir())
+            assert sorted(p.name for p in part_dir.iterdir()) == files
+            for name in files:
+                assert (part_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
 
     def test_resume_after_kill_while_writing_checkpoint(self, tiny_bundle, tmp_path):
         config = tiny_config(iterations=3)

@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from alrank import selection
 from alrank.datamodel import Corpus, QuerySet, RankedList, Run
 from alrank.ranker import Ranker, RankerConfig
 from alrank.selection import (
@@ -38,6 +40,87 @@ def oracle_vote_entropy(member_rankings, pair_depth=None):
         if n:
             total += n * math.log(n / m)
     return -total / m
+
+
+def broadcast_squared_distances(points, centroids):
+    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
+def oracle_kmeans(points, k, rng, max_iters=100):
+    """k-means as it was before the distance pass went to row blocks: every
+    distance comes from one (n, k, d) broadcast, so kmeans must match it bit
+    for bit."""
+    points = np.asarray(points, dtype=np.float64)
+    n = len(points)
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    closest_sq = ((points - centroids[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = closest_sq.sum()
+        if total == 0.0:
+            centroids[c] = points[rng.integers(n)]
+        else:
+            r = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(closest_sq), r))
+            idx = min(idx, n - 1)
+            centroids[c] = points[idx]
+        closest_sq = np.minimum(closest_sq, ((points - centroids[c]) ** 2).sum(axis=1))
+    assignment = None
+    for _iter in range(max_iters):
+        dists = broadcast_squared_distances(points, centroids)
+        new_assignment = dists.argmin(axis=1)
+        own_dist = dists[np.arange(n), new_assignment].copy()
+        for c in range(k):
+            if not (new_assignment == c).any():
+                counts = np.bincount(new_assignment, minlength=k)
+                eligible = counts[new_assignment] >= 2
+                masked = np.where(eligible, own_dist, -np.inf)
+                worst = int(masked.argmax())
+                new_assignment[worst] = c
+                own_dist[worst] = -np.inf
+        if assignment is not None and (new_assignment == assignment).all():
+            break
+        assignment = new_assignment
+        for c in range(k):
+            members = points[assignment == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+    return assignment
+
+
+def _kmeans_case(name):
+    """(points, k) for one exactness case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    rows = selection._BLOCK_FLOATS // (4 * 256)  # rows per block at k=4, d=256
+    if name == "below_block_rows":
+        return rng.normal(size=(rows - 1, 256)), 4
+    if name == "equal_to_block_rows":
+        return rng.normal(size=(rows, 256)), 4
+    if name == "not_a_multiple_of_block_rows":
+        return rng.normal(size=(2 * rows + 37, 256)), 4
+    if name == "k_is_1":
+        return rng.normal(size=(293, 256)), 1
+    if name == "k_is_n":
+        return rng.normal(size=(40, 16)), 40
+    if name == "d_is_1":
+        return rng.normal(size=(300, 1)), 6
+    if name == "duplicates_force_repair":
+        # 5 distinct points, 8 clusters: seeding repeats a point, so some
+        # cluster starts empty and must be repaired
+        return np.repeat(rng.normal(size=(5, 32)), 20, axis=0), 8
+    if name == "negative_zeros":
+        pts = rng.normal(size=(150, 64))
+        pts[rng.random(pts.shape) < 0.3] = -0.0
+        pts[::7] = 0.0
+        pts[3::7] = -0.0
+        return pts, 6
+    raise ValueError(name)
+
+
+KMEANS_CASES = (
+    "below_block_rows", "equal_to_block_rows", "not_a_multiple_of_block_rows",
+    "k_is_1", "k_is_n", "d_is_1", "duplicates_force_repair", "negative_zeros",
+)
 
 
 class TestSelectRandom:
@@ -306,6 +389,38 @@ class TestSelectQbc:
 
 
 class TestKmeans:
+    @pytest.mark.parametrize("block_floats", ["default", 64])
+    @pytest.mark.parametrize("case", KMEANS_CASES)
+    def test_equals_broadcast_oracle_bit_for_bit(self, case, block_floats, monkeypatch):
+        points, k = _kmeans_case(case)
+        if block_floats != "default":  # blocks of 1 row, 10 at d=1
+            monkeypatch.setattr(selection, "_BLOCK_FLOATS", block_floats)
+        expected = oracle_kmeans(points, k, np.random.default_rng(3))
+        assert np.array_equal(kmeans(points, k, np.random.default_rng(3)), expected)
+        if case == "duplicates_force_repair":
+            assert sorted(set(expected.tolist())) == list(range(k))
+        centroids = points[np.random.default_rng(5).choice(len(points), k, replace=False)]
+        assert (
+            selection._squared_distances(points, centroids).tobytes()
+            == broadcast_squared_distances(points, centroids).tobytes()
+        )
+        for c in range(k):
+            assert (
+                selection._squared_distances(points, centroids[c : c + 1])[:, 0].tobytes()
+                == ((points - centroids[c]) ** 2).sum(axis=1).tobytes()
+            )
+
+    def test_traced_peak_is_below_one_copy_of_the_points(self):
+        points = np.random.default_rng(0).normal(size=(2000, 512))
+        tracemalloc.start()
+        try:
+            kmeans(points, 20, np.random.default_rng(0), max_iters=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (n, k, d) broadcast would need 2000 * 20 * 512 * 8 bytes = 164 MB
+        assert peak < points.nbytes
+
     def test_separated_clusters(self):
         pts = np.array([[0.0], [0.1], [10.0], [10.1]])
         labels = kmeans(pts, 2, np.random.default_rng(0))
