@@ -376,7 +376,11 @@ class Experiment:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     def _train_committee(self, i: int, triplets: list[TrainingTriplet]):
+        """Committee members trained on random subsets of `triplets`; with no
+        triplet, every member is the start state (as `_train` returns)."""
         cfg = self.config
+        if not triplets:
+            return [self._start_state] * cfg.selection.committee_size, 0.0
         committee = []
         hours = 0.0
         for m in range(cfg.selection.committee_size):

@@ -3,13 +3,28 @@
 All three share a RankNet pairwise loss and plain SGD. Feature/embedding
 hashing is keyed by a config seed so states are fully reproducible.
 
+A `Ranker` computes what does not depend on the weights once and keeps it:
+  - per text, `tokenize` runs once. Cross keeps the tokens, one interned
+    string per distinct term, so texts sharing a word share its object; bi
+    and maxsim keep only the text's token-bucket array.
+  - per term (cross), the ``q|t`` and ``m|t`` keys are hashed once to their
+    (bucket, sign).
+  - per (query, doc) pair (cross), the sparse feature vector.
+  - per `train` call, each triplet's scoring docs and feature or bucket
+    arrays and, for cross and bi, its gradient rows and their inverse map
+    (`_prepare_triplet`); maxsim's rows depend on the argmax, so it finds
+    them at every step.
+The caches only skip recomputing the same values: a cross feature vector is
+built from the cached tokens with the float operations of the per-call
+version (per bucket, `sign * value` added for ``q|t`` and then ``m|t``, over
+the query's distinct terms in first-occurrence order, bucket ids sorted), so
+features, scores and trained weights are bit-identical.
+
 Scoring has one path, `Ranker.score_batch`: one query against a list of
-documents, each scored from the cached bucket arrays and cross features, so a
-text is tokenized once per ranker, not once per score. `score`, `rerank`,
-`mean_loss`, uncertainty and QBC selection and evaluation all go through it.
-Each document is scored with its own dot product or small matmul, as one
-`score` call did before; one big matmul or `np.add.reduceat` over all of them
-would change the last bit of some scores.
+documents. `score`, `rerank`, `mean_loss`, uncertainty and QBC selection and
+evaluation all go through it. Each document is scored with its own dot
+product or small matmul, as one `score` call did before; one big matmul or
+`np.add.reduceat` over all of them would change the last bit of some scores.
 
 Training is sparse: a triplet's gradient is a block over only the weight rows
 it touches (its query's and documents' buckets or hashed features), added into
@@ -35,7 +50,9 @@ import hashlib
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,25 +120,28 @@ class RankerState:
 
 
 class _Hasher:
-    """Seeded, memoized token/feature hashing."""
+    """Seeded token/feature hashing; `raw` and `bucket` are memoized."""
 
     def __init__(self, seed: int):
         self._key = seed.to_bytes(8, "little", signed=False)
         self._cache: dict[str, int] = {}
 
+    def digest(self, token: str) -> int:
+        digest = hashlib.blake2b(token.encode(), digest_size=8, key=self._key).digest()
+        return int.from_bytes(digest, "little")
+
     def raw(self, token: str) -> int:
         h = self._cache.get(token)
         if h is None:
-            digest = hashlib.blake2b(token.encode(), digest_size=8, key=self._key).digest()
-            h = int.from_bytes(digest, "little")
-            self._cache[token] = h
+            h = self._cache[token] = self.digest(token)
         return h
 
     def bucket(self, token: str, n_buckets: int) -> int:
         return self.raw(token) % n_buckets
 
     def signed_bucket(self, key: str, n_buckets: int) -> tuple[int, float]:
-        h = self.raw(key)
+        """Not memoized: the cross model calls it once per key (`_term_features`)."""
+        h = self.digest(key)
         return (h >> 1) % n_buckets, 1.0 if h & 1 else -1.0
 
 
@@ -143,6 +163,23 @@ def ranknet_gradient(s_pos: float, s_neg: float, sigma: float = 1.0) -> tuple[fl
     return g, -g
 
 
+class _Triplet(NamedTuple):
+    """A triplet as `Ranker._prepare_triplet` leaves it for `_triplet_gradient`."""
+
+    query_buckets: np.ndarray | None  # bi and maxsim
+    # (0 for the positive doc or 1 for the negative, its cross (idx, vals) or
+    # its buckets), for the docs that score: both texts have tokens
+    docs: tuple
+    rows: np.ndarray | None  # None: computed per call (maxsim)
+    where: np.ndarray | None
+
+
+def _unique_rows(indices: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct rows of the concatenated indices, and the position
+    of each index among them."""
+    return np.unique(np.concatenate(indices), return_inverse=True)
+
+
 class Ranker:
     """Stateless scoring/training engine for one config; states are explicit."""
 
@@ -150,6 +187,10 @@ class Ranker:
         self.config = config
         self._hasher = _Hasher(config.hash_seed)
         self._feature_cache: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+        # cross: text -> interned tokens and term -> hashed features;
+        # bi and maxsim: text -> token buckets
+        self._token_cache: dict[str, tuple[str, ...]] = {}
+        self._term_cache: dict[str, tuple[int, float, int, float]] = {}
         self._bucket_cache: dict[str, np.ndarray] = {}
         self._param = "w" if config.architecture == "cross" else "emb"
 
@@ -183,38 +224,48 @@ class Ranker:
             self._bucket_cache[text] = cached
         return cached
 
+    def _tokens(self, text: str) -> tuple[str, ...]:
+        """The cross model's tokens of `text`, one shared string per term."""
+        cached = self._token_cache.get(text)
+        if cached is None:
+            cached = self._token_cache[text] = tuple(map(sys.intern, tokenize(text)))
+        return cached
+
+    def _term_features(self, term: str) -> tuple[int, float, int, float]:
+        """(bucket, sign) of the term's ``q|t`` key, then of its ``m|t`` key."""
+        cached = self._term_cache.get(term)
+        if cached is None:
+            dim = self.config.dim
+            cached = self._term_cache[term] = (
+                *self._hasher.signed_bucket(f"q|{term}", dim),
+                *self._hasher.signed_bucket(f"m|{term}", dim),
+            )
+        return cached
+
     def cross_features(self, query_text: str, doc_text: str | None) -> tuple[np.ndarray, np.ndarray]:
         """Sparse hashed feature vector as (bucket indices, signed values)."""
         key = (query_text, doc_text if doc_text is not None else "\x00none")
         cached = self._feature_cache.get(key)
         if cached is not None:
             return cached
-        q_tokens = tokenize(query_text)
+        q_tokens = self._tokens(query_text)
         if not q_tokens:
             return np.zeros(0, dtype=np.int64), np.zeros(0)
-        q_counts: dict[str, int] = {}
-        for t in q_tokens:
-            q_counts[t] = q_counts.get(t, 0) + 1
-        d_counts: dict[str, int] = {}
-        if doc_text is not None:
-            for t in tokenize(doc_text):
-                d_counts[t] = d_counts.get(t, 0) + 1
-
-        values: dict[int, float] = {}
-
-        def add(feature_key: str, value: float) -> None:
-            idx, sign = self._hasher.signed_bucket(feature_key, self.config.dim)
-            values[idx] = values.get(idx, 0.0) + sign * value
-
+        d_tokens = self._tokens(doc_text) if doc_text is not None else ()
         n_q = len(q_tokens)
-        for t, c in q_counts.items():
-            add(f"q|{t}", c / n_q)
-            tf = d_counts.get(t, 0)
+        values: dict[int, float] = {}
+        # distinct query terms in first-occurrence order
+        for t in dict.fromkeys(q_tokens):
+            c = q_tokens.count(t)
+            q_idx, q_sign, m_idx, m_sign = self._term_features(t)
+            values[q_idx] = values.get(q_idx, 0.0) + q_sign * (c / n_q)
+            tf = d_tokens.count(t)
             if tf > 0:
-                add(f"m|{t}", c * (1.0 + math.log(tf)) / n_q)
+                values[m_idx] = values.get(m_idx, 0.0) + m_sign * (c * (1.0 + math.log(tf)) / n_q)
 
-        idx = np.array(sorted(values), dtype=np.int64)
-        vals = np.array([values[i] for i in idx])
+        order = sorted(values)
+        idx = np.array(order, dtype=np.int64)
+        vals = np.array([values[i] for i in order])
         self._feature_cache[key] = (idx, vals)
         return idx, vals
 
@@ -231,16 +282,18 @@ class Ranker:
         """
         self._check_state(state)
         scores = np.zeros(len(doc_texts))
-        qb = self._buckets(query_text)
-        if qb.size == 0:
-            return scores
         arch = state.architecture
         if arch == "cross":
+            if not self._tokens(query_text):
+                return scores
             w = state.arrays["w"]
             for k, doc_text in enumerate(doc_texts):
-                if self._buckets(doc_text).size:
+                if self._tokens(doc_text):
                     idx, vals = self.cross_features(query_text, doc_text)
                     scores[k] = w[idx] @ vals
+            return scores
+        qb = self._buckets(query_text)
+        if qb.size == 0:
             return scores
         emb = state.arrays["emb"]
         eq = emb[qb]
@@ -258,14 +311,17 @@ class Ranker:
     def encode_query(self, state: RankerState, query_text: str) -> np.ndarray:
         """Length-`dim` query representation used by diversity selection."""
         self._check_state(state)
-        if self._buckets(query_text).size == 0:
-            return np.zeros(self.config.dim)
         if state.architecture == "cross":
+            if not self._tokens(query_text):
+                return np.zeros(self.config.dim)
             idx, vals = self.cross_features(query_text, None)
             vec = np.zeros(self.config.dim)
             vec[idx] = vals
             return vec * state.arrays["w"]
-        return state.arrays["emb"][self._buckets(query_text)].mean(axis=0)
+        qb = self._buckets(query_text)
+        if qb.size == 0:
+            return np.zeros(self.config.dim)
+        return state.arrays["emb"][qb].mean(axis=0)
 
     def rerank(
         self,
@@ -294,19 +350,49 @@ class Ranker:
         gradient of `_triplet_gradient` written into a zero array)."""
         self._check_state(state)
         weights = state.arrays[self._param]
-        loss, rows, block = self._triplet_gradient(weights, query_text, pos_text, neg_text)
+        triplet = self._prepare_triplet(query_text, pos_text, neg_text)
+        loss, rows, block = self._triplet_gradient(weights, triplet)
         grad = np.zeros_like(weights)
         grad[rows] = block
         return loss, {self._param: grad}
 
+    def _prepare_triplet(self, query_text: str, pos_text: str, neg_text: str) -> _Triplet:
+        """The part of a triplet's gradient that does not depend on the weights.
+
+        A doc with no tokens, or a query with none, scores 0 and is left out
+        of `docs`. The gradient's rows are the concatenated indices of its
+        terms: cross, per doc its feature indices; bi, per doc the query's
+        buckets, then the doc's. Their `np.unique` is computed here; maxsim's
+        doc rows depend on the argmax, so it leaves `rows` and `where` None.
+        """
+        arch = self.config.architecture
+        if arch == "cross":
+            qb = None
+            docs = tuple(
+                (k, self.cross_features(query_text, doc_text))
+                for k, doc_text in enumerate((pos_text, neg_text))
+                if self._tokens(query_text) and self._tokens(doc_text)
+            )
+        else:
+            qb = self._buckets(query_text)
+            docs = tuple(
+                (k, db)
+                for k, db in enumerate((self._buckets(pos_text), self._buckets(neg_text)))
+                if qb.size and db.size
+            )
+        if arch == "maxsim" or not docs:
+            return _Triplet(qb, docs, None, None)
+        if arch == "cross":
+            indices = [idx for _, (idx, _) in docs]
+        else:
+            indices = [b for _, db in docs for b in (qb, db)]
+        return _Triplet(qb, docs, *_unique_rows(indices))
+
     def _triplet_gradient(
-        self,
-        weights: np.ndarray,
-        query_text: str,
-        pos_text: str,
-        neg_text: str,
+        self, weights: np.ndarray, triplet: _Triplet
     ) -> tuple[float, np.ndarray, np.ndarray]:
-        """RankNet loss of one triplet and its gradient over the rows it touches.
+        """RankNet loss of one prepared triplet and its gradient over the rows
+        it touches.
 
         Returns (loss, rows, block): `rows` are the sorted distinct indices of
         `weights` with a gradient term and `block[k]` is the gradient of row
@@ -315,35 +401,31 @@ class Ranker:
         1-D `np.add.at` on the flattened block, which adds them one element
         at a time in that order, so every element sums the same floats in the
         same order as one `np.add.at` per term into a dense zero array would.
-        The scores use the same operations as `score`. A doc with no tokens,
-        or a query with none, scores 0 and adds no terms.
+        The scores use the same operations as `score`.
         """
         arch = self.config.architecture
-        qb = self._buckets(query_text)
-        if qb.size and arch != "cross":
+        qb, docs, rows, where = triplet
+        if docs and arch != "cross":
             eq = weights[qb]
             vq = eq.mean(axis=0) if arch == "bi" else None
         scores = [0.0, 0.0]
         # per doc: (indices, vector, n) with d(score)/d(weights[indices]) = vector / n
         partials: list[list[tuple]] = [[], []]
-        for k, doc_text in enumerate((pos_text, neg_text)):
-            db = self._buckets(doc_text)
-            if qb.size == 0 or db.size == 0:
-                continue
+        for k, data in docs:
             if arch == "cross":
-                idx, vals = self.cross_features(query_text, doc_text)
+                idx, vals = data
                 scores[k] = float(weights[idx] @ vals)
                 partials[k] = [(idx, vals, 1)]
             elif arch == "bi":
-                vd = weights[db].mean(axis=0)
+                vd = weights[data].mean(axis=0)
                 scores[k] = float(vq @ vd)
-                partials[k] = [(qb, vd, qb.size), (db, vq, db.size)]
+                partials[k] = [(qb, vd, qb.size), (data, vq, data.size)]
             else:
-                ed = weights[db]
+                ed = weights[data]
                 sims = eq @ ed.T
                 best = sims.argmax(axis=1)
                 scores[k] = float(sims[np.arange(best.size), best].sum())
-                partials[k] = [(qb, ed[best], 1), (db[best], eq, 1)]
+                partials[k] = [(qb, ed[best], 1), (data[best], eq, 1)]
         sigma = self.config.sigma
         loss = ranknet_loss(scores[0], scores[1], sigma)
         g_docs = ranknet_gradient(scores[0], scores[1], sigma)
@@ -355,7 +437,8 @@ class Ranker:
         ]
         if not terms:
             return loss, np.zeros(0, dtype=np.int64), np.zeros((0,) + weights.shape[1:])
-        rows, where = np.unique(np.concatenate([idx for idx, _ in terms]), return_inverse=True)
+        if rows is None:
+            rows, where = _unique_rows([idx for idx, _ in terms])
         block = np.zeros((rows.size,) + weights.shape[1:])
         # bi's terms are one vector for all of a doc's rows; broadcast it to them.
         values = np.concatenate([
@@ -398,7 +481,8 @@ class Ranker:
         into the batch gradient at those rows; the update then changes only
         the rows the batch touched. The result is bit-identical to summing
         dense per-triplet gradients into a dense batch gradient and updating
-        every row (see the module docstring).
+        every row (see the module docstring). Each triplet is prepared once
+        per call (`_prepare_triplet`), not once per epoch.
         """
         if not triplets:
             raise ValueError("cannot train on an empty triplet list")
@@ -415,8 +499,9 @@ class Ranker:
         new = state.copy()
         weights = new.arrays[self._param]
         batch_grads = np.zeros_like(weights)
-        texts = [
-            (queries[t.query_id], corpus[t.positive_id], corpus[t.negative_id]) for t in triplets
+        prepared = [
+            self._prepare_triplet(queries[t.query_id], corpus[t.positive_id], corpus[t.negative_id])
+            for t in triplets
         ]
         rng = np.random.default_rng(seed)
         cfg = self.config
@@ -427,7 +512,7 @@ class Ranker:
                 batch = order[start : start + cfg.batch_size]
                 touched = []
                 for i in batch:
-                    _, rows, block = self._triplet_gradient(weights, *texts[i])
+                    _, rows, block = self._triplet_gradient(weights, prepared[i])
                     batch_grads[rows] += block
                     touched.append(rows)
                 batch_rows = np.unique(np.concatenate(touched))

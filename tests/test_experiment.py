@@ -1,13 +1,14 @@
 import json
 import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alrank.datamodel import QuerySet
+from alrank.datamodel import Qrels, QuerySet
 from alrank.experiment import (
     Experiment,
     ExperimentConfig,
@@ -178,6 +179,25 @@ def test_hitless_train_queries_run_to_the_end(hitless_bundle, strategy):
     assert sorted(r.query_id for r in walked) == sorted(hitless)
     assert all(r.outcome == "skipped" and r.assessments == 0 for r in walked)
     assert all(r.iteration > 1 for r in walked)
+
+
+@pytest.fixture(scope="module")
+def unjudged_bundle(tiny_bundle):
+    """tiny_bundle without the train queries' qrels: every walk is exhausted
+    although the queries have BM25 hits, so no iteration yields a triplet."""
+    train = set(tiny_bundle.train_queries.ids())
+    qrels = Qrels({key: g for key, g in tiny_bundle.qrels.items() if key[0] not in train})
+    return replace(tiny_bundle, qrels=qrels)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_tripletless_run_goes_to_the_end(unjudged_bundle, strategy):
+    assert all(len(unjudged_bundle.candidates[q]) for q in unjudged_bundle.train_queries.ids())
+    states = run_experiment(tiny_config(strategy, iterations=3), unjudged_bundle)
+    assert [s.iteration for s in states] == [1, 2, 3]
+    assert all(not s.triplets and s.training_hours == 0.0 for s in states)
+    exp = Experiment(tiny_config(strategy), unjudged_bundle)
+    assert {s.ndcg10 for s in states} == {exp.evaluate(exp._start_state)}
 
 
 class TestResume:

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from alrank import ranker as ranker_module
 from alrank.datamodel import Corpus, QuerySet, RankedList, TrainingTriplet
+from alrank.experiment import Experiment, ExperimentConfig
 from alrank.lexical import tokenize
 from alrank.ranker import (
     Ranker,
@@ -14,6 +16,7 @@ from alrank.ranker import (
     ranknet_loss,
     save_checkpoint,
 )
+from alrank.selection import SelectionConfig
 
 
 def oracle_cross_features(query: str, doc: str | None, dim: int, seed: int) -> np.ndarray:
@@ -44,6 +47,49 @@ def oracle_cross_features(query: str, doc: str | None, dim: int, seed: int) -> n
             idx, sign = hashed(f"m|{t}")
             vec[idx] += sign * c * (1.0 + math.log(tf)) / len(q)
     return vec
+
+
+def per_call_cross_features(
+    query_text: str, doc_text: str | None, dim: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cross feature map computed from scratch: both texts tokenized and
+    every ``q|t``/``m|t`` key hashed on each call. The reference for the
+    cached `Ranker.cross_features`."""
+
+    def signed_bucket(feature_key):
+        digest = hashlib.blake2b(
+            feature_key.encode(), digest_size=8, key=seed.to_bytes(8, "little")
+        ).digest()
+        h = int.from_bytes(digest, "little")
+        return (h >> 1) % dim, 1.0 if h & 1 else -1.0
+
+    q_tokens = tokenize(query_text)
+    if not q_tokens:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    q_counts: dict[str, int] = {}
+    for t in q_tokens:
+        q_counts[t] = q_counts.get(t, 0) + 1
+    d_counts: dict[str, int] = {}
+    if doc_text is not None:
+        for t in tokenize(doc_text):
+            d_counts[t] = d_counts.get(t, 0) + 1
+
+    values: dict[int, float] = {}
+
+    def add(feature_key: str, value: float) -> None:
+        idx, sign = signed_bucket(feature_key)
+        values[idx] = values.get(idx, 0.0) + sign * value
+
+    n_q = len(q_tokens)
+    for t, c in q_counts.items():
+        add(f"q|{t}", c / n_q)
+        tf = d_counts.get(t, 0)
+        if tf > 0:
+            add(f"m|{t}", c * (1.0 + math.log(tf)) / n_q)
+
+    idx = np.array(sorted(values), dtype=np.int64)
+    vals = np.array([values[i] for i in idx])
+    return idx, vals
 
 
 def small_ranker(arch, dim=16, buckets=48, **kw):
@@ -134,6 +180,94 @@ class TestScoring:
         assert a == b
 
 
+class TestCrossFeatureExactness:
+    """cross_features equals the feature map computed per call, byte for byte."""
+
+    QUERIES = [
+        "apple pear", "apple apple pear apple", "kiwi kiwi", "Apple PEAR fig", "date lime plum",
+        "fig, fig; fig! kiwi", "", "?! ...", "a_b a-b",
+    ]
+    DOCS = [
+        "apple pear fig apple", "plum date", "APPLE apple Pear", "kiwi kiwi kiwi fig",
+        "nothing shared here", "", "--", "a b a b",
+    ]
+
+    @classmethod
+    def _texts(cls):
+        # plus seeded texts of up to 9 distinct terms with repeats, so that
+        # several unequal values share a bucket and their order shows
+        rng = np.random.default_rng(8)
+        words = ["zeta", "kiwi", "apple", "fig", "pear", "plum", "date", "lime", "yam"]
+        queries = [" ".join(rng.choice(words, size=k)) for k in (3, 5, 8, 12) for _ in range(4)]
+        docs = [" ".join(rng.choice(words, size=k)) for k in (4, 9, 20) for _ in range(3)]
+        return cls.QUERIES + queries, cls.DOCS + docs + [None]
+
+    # dim 2 and 4 force q|t / m|t and distinct terms into shared buckets
+    @pytest.mark.parametrize("dim", [2, 4, 64])
+    @pytest.mark.parametrize("hash_seed", [0, 9])
+    def test_equals_per_call_oracle_bytes(self, dim, hash_seed):
+        ranker = Ranker(RankerConfig(architecture="cross", dim=dim, hash_seed=hash_seed))
+        queries, docs = self._texts()
+        for q in queries:
+            for d in docs:
+                idx, vals = ranker.cross_features(q, d)
+                want_idx, want_vals = per_call_cross_features(q, d, dim, hash_seed)
+                assert _same_bytes(idx, want_idx), (q, d)
+                assert _same_bytes(vals, want_vals), (q, d)
+
+    def test_encode_query_uses_the_doc_free_features(self):
+        ranker = small_ranker("cross", dim=4)
+        state = ranker.init_state(3)
+        for q in self.QUERIES:
+            idx, vals = per_call_cross_features(q, None, 4, 0)
+            want = np.zeros(4)
+            if idx.size:
+                want[idx] = vals
+                want = want * state.arrays["w"]
+            assert _same_bytes(ranker.encode_query(state, q), want), q
+
+
+class TestTokenCache:
+    def test_cross_run_tokenizes_each_text_once(self, tiny_bundle, monkeypatch):
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(ranker_module, "tokenize", counting_tokenize)
+        config = ExperimentConfig(
+            iterations=3,
+            selection=SelectionConfig(strategy="qbc", samples_per_iteration=3, candidate_depth=20),
+            ranker=RankerConfig(architecture="cross", dim=64, hash_buckets=128,
+                                epochs_selection=2, epochs_evaluation=4),
+            negatives_depth=50,
+        )
+        states = Experiment(config, tiny_bundle).run()
+        assert len(states) == 3 and states[-1].triplets
+        texts = {text for split in (tiny_bundle.corpus, tiny_bundle.train_queries,
+                                    tiny_bundle.test_queries) for _, text in split.items()}
+        assert len(calls) == len(set(calls)) <= len(texts)
+
+    def test_texts_sharing_a_term_share_one_token_object(self):
+        ranker = small_ranker("cross")
+        state = ranker.init_state(0)
+        ranker.score_batch(state, "Apple pear", ["pear fig", "FIG apple pear"])
+        q, d1, d2 = (ranker._tokens(t) for t in ("Apple pear", "pear fig", "FIG apple pear"))
+        assert q == ("apple", "pear") and d2 == ("fig", "apple", "pear")
+        assert q[0] is d2[1] and q[1] is d1[0] is d2[2] and d1[1] is d2[0]
+        assert not ranker._bucket_cache
+
+    @pytest.mark.parametrize("arch", ["bi", "maxsim"])
+    def test_embedding_models_keep_only_bucket_arrays(self, arch):
+        ranker = small_ranker(arch)
+        state = ranker.init_state(0)
+        ranker.score_batch(state, "apple pear", ["pear fig", "fig apple"])
+        ranker.loss_and_gradient(state, "apple", "pear fig", "fig apple")
+        assert not ranker._token_cache and not ranker._term_cache
+        assert set(ranker._bucket_cache) == {"apple pear", "pear fig", "fig apple", "apple"}
+
+
 class TestRerank:
     def test_permutation_and_oracle_order(self):
         corpus = Corpus({f"d{i}": t for i, t in enumerate(
@@ -214,13 +348,13 @@ def _oracle_loss_and_gradient(ranker, state, query, pos, neg):
     g_pos, g_neg = ranknet_gradient(s_pos, s_neg, ranker.config.sigma)
     grads = {k: np.zeros_like(v) for k, v in state.arrays.items()}
     for doc, g in ((pos, g_pos), (neg, g_neg)):
-        qb, db = ranker._buckets(query), ranker._buckets(doc)
-        if qb.size == 0 or db.size == 0:
+        if not tokenize(query) or not tokenize(doc):
             continue
         if state.architecture == "cross":
             idx, vals = ranker.cross_features(query, doc)
             np.add.at(grads["w"], idx, g * vals)
             continue
+        qb, db = ranker._buckets(query), ranker._buckets(doc)
         emb = state.arrays["emb"]
         if state.architecture == "bi":
             vq, vd = emb[qb].mean(axis=0), emb[db].mean(axis=0)
@@ -291,7 +425,7 @@ class TestSparseTrainingExactness:
     # rows and duplicate argmax rows) and texts without any token.
     CORPUS = Corpus({
         "d1": "apple pear fig apple", "d2": "kiwi plum", "d3": "fig fig fig date",
-        "d4": "lime date kiwi apple pear", "d5": "?!", "d6": "plum",
+        "d4": "lime date kiwi apple pear", "d5": "?!", "d6": "plum", "d7": "-- ..",
     })
     QUERIES = QuerySet({
         "q1": "apple apple pear", "q2": "fig kiwi fig", "q3": "...", "q4": "date lime plum plum",
@@ -326,6 +460,25 @@ class TestSparseTrainingExactness:
         trained = ranker.train(state, *args)
         want = _oracle_train(ranker, state, *args)
         assert trained == want
+        assert all(_same_bytes(trained.arrays[k], want.arrays[k]) for k in want.arrays)
+        assert trained != state
+
+    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    def test_prepared_triplets_reused_over_batches_and_epochs(self, arch):
+        # repeated triplets (within and across batches), a triplet of two
+        # token-less docs and one with a token-less query: 5 batches of 4 in
+        # each of 6 epochs reuse every prepared triplet
+        triplets = self.TRIPLETS * 2 + [
+            self.TRIPLETS[0], TrainingTriplet("q2", "d5", "d7"),
+            TrainingTriplet("q3", "d7", "d1"), TrainingTriplet("q4", "d7", "d4"),
+            self.TRIPLETS[3], self.TRIPLETS[3],
+        ]
+        ranker = small_ranker(arch, dim=6, buckets=8, batch_size=4, learning_rate=0.3)
+        state = ranker.init_state(5)
+        args = (triplets, self.CORPUS, self.QUERIES, 6, 3)
+        trained = ranker.train(state, *args)
+        want = _oracle_train(ranker, state, *args)
+        assert trained.step == want.step == 30
         assert all(_same_bytes(trained.arrays[k], want.arrays[k]) for k in want.arrays)
         assert trained != state
 
