@@ -16,7 +16,9 @@ class ParseError(ValueError):
 
 
 def _check_id(value: str, kind: str) -> str:
-    if not value or "\t" in value or "\n" in value or any(c.isspace() for c in value):
+    # split() drops every str.isspace() character, so this rejects an empty
+    # id and any id containing whitespace
+    if value.split() != [value]:
         raise ValueError(f"invalid {kind} identifier: {value!r}")
     return value
 

@@ -12,8 +12,9 @@ A `Ranker` computes what does not depend on the weights once and keeps it:
   - per (query, doc) pair (cross), the sparse feature vector.
   - per `train` call, each triplet's scoring docs and feature or bucket
     arrays and, for cross and bi, its gradient rows and their inverse map
-    (`_prepare_triplet`); maxsim's rows depend on the argmax, so it finds
-    them at every step.
+    (`_prepare_triplet`). Maxsim's rows depend on the argmax, so it keeps
+    the sorted union of its buckets and each bucket's position in it, and
+    each step marks the positions the argmax picked.
 The caches only skip recomputing the same values: a cross feature vector is
 built from the cached tokens with the float operations of the per-call
 version (per bucket, `sign * value` added for ``q|t`` and then ``m|t``, over
@@ -170,14 +171,27 @@ class _Triplet(NamedTuple):
     # (0 for the positive doc or 1 for the negative, its cross (idx, vals) or
     # its buckets), for the docs that score: both texts have tokens
     docs: tuple
-    rows: np.ndarray | None  # None: computed per call (maxsim)
+    # cross and bi: the gradient's rows and each term index's position among
+    # them. maxsim: `rows` is the sorted union of the query's and the scoring
+    # docs' buckets, `where` is None, and `positions` holds the position in
+    # `rows` of each of the query's buckets, then of each scoring doc's.
+    rows: np.ndarray | None
     where: np.ndarray | None
+    positions: tuple | None
 
 
 def _unique_rows(indices: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct rows of the concatenated indices, and the position
     of each index among them."""
     return np.unique(np.concatenate(indices), return_inverse=True)
+
+
+def _marked_rows(union: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_unique_rows` of `union[positions]`, for a sorted distinct `union`:
+    the marked entries of `union`, and each position's rank among the marks."""
+    mask = np.zeros(union.size, dtype=bool)
+    mask[positions] = True
+    return union[mask], mask.cumsum()[positions] - 1
 
 
 class Ranker:
@@ -362,8 +376,9 @@ class Ranker:
         A doc with no tokens, or a query with none, scores 0 and is left out
         of `docs`. The gradient's rows are the concatenated indices of its
         terms: cross, per doc its feature indices; bi, per doc the query's
-        buckets, then the doc's. Their `np.unique` is computed here; maxsim's
-        doc rows depend on the argmax, so it leaves `rows` and `where` None.
+        buckets, then the doc's. Their `np.unique` is computed here. Maxsim's
+        doc rows depend on the argmax, so it keeps the union of its buckets
+        and their positions in it instead.
         """
         arch = self.config.architecture
         if arch == "cross":
@@ -380,13 +395,18 @@ class Ranker:
                 for k, db in enumerate((self._buckets(pos_text), self._buckets(neg_text)))
                 if qb.size and db.size
             )
-        if arch == "maxsim" or not docs:
-            return _Triplet(qb, docs, None, None)
+        if not docs:
+            return _Triplet(qb, docs, None, None, None)
+        if arch == "maxsim":
+            buckets = [qb] + [db for _, db in docs]
+            union = np.unique(np.concatenate(buckets))
+            positions = tuple(np.searchsorted(union, b) for b in buckets)
+            return _Triplet(qb, docs, union, None, positions)
         if arch == "cross":
             indices = [idx for _, (idx, _) in docs]
         else:
             indices = [b for _, db in docs for b in (qb, db)]
-        return _Triplet(qb, docs, *_unique_rows(indices))
+        return _Triplet(qb, docs, *_unique_rows(indices), None)
 
     def _triplet_gradient(
         self, weights: np.ndarray, triplet: _Triplet
@@ -402,16 +422,20 @@ class Ranker:
         at a time in that order, so every element sums the same floats in the
         same order as one `np.add.at` per term into a dense zero array would.
         The scores use the same operations as `score`.
+
+        Maxsim's rows are those of the union its terms' positions mark
+        (`_marked_rows`).
         """
         arch = self.config.architecture
-        qb, docs, rows, where = triplet
+        qb, docs, rows, where, positions = triplet
         if docs and arch != "cross":
             eq = weights[qb]
             vq = eq.mean(axis=0) if arch == "bi" else None
         scores = [0.0, 0.0]
         # per doc: (indices, vector, n) with d(score)/d(weights[indices]) = vector / n
         partials: list[list[tuple]] = [[], []]
-        for k, data in docs:
+        picked = []  # maxsim: each term's positions in `rows`, in term order
+        for j, (k, data) in enumerate(docs):
             if arch == "cross":
                 idx, vals = data
                 scores[k] = float(weights[idx] @ vals)
@@ -426,6 +450,7 @@ class Ranker:
                 best = sims.argmax(axis=1)
                 scores[k] = float(sims[np.arange(best.size), best].sum())
                 partials[k] = [(qb, ed[best], 1), (data[best], eq, 1)]
+                picked += [positions[0], positions[1 + j][best]]
         sigma = self.config.sigma
         loss = ranknet_loss(scores[0], scores[1], sigma)
         g_docs = ranknet_gradient(scores[0], scores[1], sigma)
@@ -437,8 +462,8 @@ class Ranker:
         ]
         if not terms:
             return loss, np.zeros(0, dtype=np.int64), np.zeros((0,) + weights.shape[1:])
-        if rows is None:
-            rows, where = _unique_rows([idx for idx, _ in terms])
+        if where is None:
+            rows, where = _marked_rows(rows, np.concatenate(picked))
         block = np.zeros((rows.size,) + weights.shape[1:])
         # bi's terms are one vector for all of a doc's rows; broadcast it to them.
         values = np.concatenate([

@@ -1,4 +1,12 @@
-"""Deterministic synthetic corpus generator with planted topical relevance."""
+"""Deterministic synthetic corpus generator with planted topical relevance.
+
+The noise vocabulary, and each topic's vocabulary, is built once as a numpy
+array and every `rng.choice` draws from that array: given a list, `choice`
+would convert it to a fresh array on every call, which cost most of the
+generator's time. `choice` converts its input before it draws, so the random
+stream, and every document, query and judgment, is the same as drawing from
+the lists; `tests/test_datamodel.py` pins it by digest.
+"""
 
 from __future__ import annotations
 
@@ -23,6 +31,11 @@ class SyntheticSpec:
     doc_noise_tokens: int = 12
 
     def __post_init__(self):
+        # a query draws up to 4 distinct topic tokens
+        if self.topic_vocab_size < 4:
+            raise ValueError(f"topic_vocab_size must be >= 4, got {self.topic_vocab_size}")
+        if self.noise_vocab_size < 1:
+            raise ValueError(f"noise_vocab_size must be >= 1, got {self.noise_vocab_size}")
         if self.rel_per_query < 1:
             raise ValueError("rel_per_query must be >= 1")
         if self.rel_per_query > self.docs_per_topic:
@@ -53,7 +66,7 @@ def generate_synthetic(
     (at least 3 topic tokens) plus noise; all other documents contain noise only.
     """
     rng = np.random.default_rng(seed)
-    noise_vocab = [f"noise{j:04d}" for j in range(spec.noise_vocab_size)]
+    noise_vocab = np.array([f"noise{j:04d}" for j in range(spec.noise_vocab_size)])
 
     docs: dict[str, str] = {}
     train_queries: dict[str, str] = {}
@@ -61,7 +74,7 @@ def generate_synthetic(
     grades: dict[tuple[str, str], int] = {}
 
     for t in range(spec.topics):
-        topic_vocab = [f"topic{t:03d}w{j:02d}" for j in range(spec.topic_vocab_size)]
+        topic_vocab = np.array([f"topic{t:03d}w{j:02d}" for j in range(spec.topic_vocab_size)])
         doc_ids = [f"d{t:03d}_{j:03d}" for j in range(spec.docs_per_topic)]
         free_slots = list(doc_ids)
 
@@ -70,7 +83,7 @@ def generate_synthetic(
             is_test = qn >= spec.queries_per_topic
             qid = f"{'qt' if is_test else 'q'}{t:03d}_{qn:03d}"
             q_len = int(rng.integers(2, 5))
-            q_tokens = list(rng.choice(topic_vocab, size=q_len, replace=False))
+            q_tokens = rng.choice(topic_vocab, size=q_len, replace=False).tolist()
             target = test_queries if is_test else train_queries
             target[qid] = " ".join(q_tokens)
 
@@ -78,10 +91,10 @@ def generate_synthetic(
                 slot = free_slots.pop(int(rng.integers(0, len(free_slots))))
                 topic_tokens = list(q_tokens)
                 while len(set(topic_tokens)) < 3:
-                    extra = topic_vocab[int(rng.integers(0, len(topic_vocab)))]
+                    extra = str(topic_vocab[int(rng.integers(0, len(topic_vocab)))])
                     if extra not in topic_tokens:
                         topic_tokens.append(extra)
-                noise = list(rng.choice(noise_vocab, size=spec.doc_noise_tokens))
+                noise = rng.choice(noise_vocab, size=spec.doc_noise_tokens).tolist()
                 tokens = topic_tokens + noise
                 rng.shuffle(tokens)
                 docs[slot] = " ".join(tokens)
@@ -89,7 +102,7 @@ def generate_synthetic(
 
         # remaining slots: pure-noise non-relevant documents
         for slot in free_slots:
-            noise = list(rng.choice(noise_vocab, size=spec.doc_noise_tokens + 3))
+            noise = rng.choice(noise_vocab, size=spec.doc_noise_tokens + 3).tolist()
             docs[slot] = " ".join(noise)
 
     ordered_docs = {d: docs[d] for d in sorted(docs)}

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +13,7 @@ from alrank.datamodel import (
     RankedList,
     Run,
     TrainingTriplet,
+    _check_id,
     parse_collection,
     parse_qrels,
     parse_run,
@@ -134,6 +139,25 @@ class TestRunRoundTrip:
             Run("t", {"q1": RankedList("q2", [("d1", 1.0)])})
 
 
+class TestIdentifiers:
+    def test_whitespace_and_empty_ids_rejected(self):
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert len(spaces) == 29
+        bad = [""] + [f"d{c}1" for c in spaces] + [f"{c}d1" for c in spaces] + [f"d1{c}" for c in spaces]
+        for doc_id in bad:
+            with pytest.raises(ValueError, match="invalid document identifier"):
+                Corpus({doc_id: "text"})
+            with pytest.raises(ValueError, match="invalid query identifier"):
+                Qrels({(doc_id, "d1"): 1})
+
+    def test_ids_without_whitespace_accepted(self):
+        # every code point that is not str.isspace(), between two letters
+        for c in range(sys.maxunicode + 1):
+            if not chr(c).isspace():
+                doc_id = f"d{chr(c)}1"
+                assert _check_id(doc_id, "document") == doc_id
+
+
 class TestTriplets:
     def test_round_trip(self, tmp_path):
         triplets = [TrainingTriplet("q1", "dp", "dn"), TrainingTriplet("q2", "a", "b")]
@@ -199,6 +223,42 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="slots"):
             SyntheticSpec(docs_per_topic=10, queries_per_topic=5,
                           test_queries_per_topic=2, rel_per_query=2)
+
+    @pytest.mark.parametrize(
+        "field, value", [("topic_vocab_size", 2), ("topic_vocab_size", 3), ("noise_vocab_size", 0)]
+    )
+    def test_unusable_vocabulary_rejected(self, field, value):
+        # topic_vocab_size=2 at generator seed 11 looped forever; 3 and a
+        # noise_vocab_size of 0 failed inside numpy
+        kwargs = dict(topics=1, topic_vocab_size=4, queries_per_topic=1,
+                      test_queries_per_topic=0, docs_per_topic=5)
+        with pytest.raises(ValueError, match=field):
+            SyntheticSpec(**{**kwargs, field: value})
+        SyntheticSpec(**kwargs)
+
+    # sha256 of the generator's full output, recorded when it still drew from
+    # Python lists: the random stream must not change
+    PINNED = [
+        (DESK_SPEC, 0, "97311c58e2062f2ed7872a5c9d72b7df17cb1f06621f255612f9d6ba51db2b2c"),
+        (SyntheticSpec(topics=60), 3,
+         "f6decf43b95032f45de004a8ba7cbb121951d6a7418f2a65aa447a6d51a09cf9"),
+        # the `tiny_data` fixture's spec
+        (SyntheticSpec(topics=3, docs_per_topic=24, queries_per_topic=5,
+                       test_queries_per_topic=2, rel_per_query=2, noise_vocab_size=60,
+                       topic_vocab_size=8), 11,
+         "1a0043d074165bb3ccdc9ff4c3f3a7428876bb3067e167feede28f6d29da873d"),
+    ]
+
+    @pytest.mark.parametrize("spec, seed, sha256", PINNED)
+    def test_output_pinned(self, spec, seed, sha256):
+        corpus, train_q, test_q, qrels = generate_synthetic(spec, seed)
+        payload = json.dumps([
+            list(corpus.items()),
+            list(train_q.items()),
+            list(test_q.items()),
+            sorted((qid, did, grade) for (qid, did), grade in qrels.items()),
+        ])
+        assert hashlib.sha256(payload.encode()).hexdigest() == sha256
 
     def test_query_lengths(self):
         _, train_q, test_q, _ = generate_synthetic(DESK_SPEC, 0)

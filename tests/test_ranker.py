@@ -500,6 +500,37 @@ class TestSparseTrainingExactness:
         assert trained != state
 
 
+@pytest.mark.parametrize("trained", [False, True])
+def test_maxsim_marked_rows_equal_unique(trained):
+    """Maxsim's rows from the marked union equal `np.unique`'s, array for array."""
+    triplets, corpus, queries = _realistic_training_data(seed=3)
+    ranker = small_ranker("maxsim", dim=64, buckets=16, learning_rate=0.3)
+    state = ranker.init_state(2)
+    if trained:
+        state = ranker.train(state, triplets, corpus, queries, 3, 5)
+    emb = state.arrays["emb"]
+    checked = 0
+    for t in triplets:
+        qb, docs, union, where, positions = ranker._prepare_triplet(
+            queries[t.query_id], corpus[t.positive_id], corpus[t.negative_id]
+        )
+        if not docs:
+            continue
+        assert where is None
+        indices, picked = [], []
+        for j, (_, db) in enumerate(docs):
+            best = (emb[qb] @ emb[db].T).argmax(axis=1)
+            indices += [qb, db[best]]
+            picked += [positions[0], positions[1 + j][best]]
+        rows, inverse = ranker_module._marked_rows(union, np.concatenate(picked))
+        want_rows, want_inverse = np.unique(np.concatenate(indices), return_inverse=True)
+        for got, want in ((rows, want_rows), (inverse, want_inverse)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), t
+        checked += 1
+    assert checked > 50
+
+
 def _oracle_score(ranker, state, query, doc):
     """The one-document score from before batched scoring, which tokenized
     both texts on every call."""
