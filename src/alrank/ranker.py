@@ -9,7 +9,12 @@ A `Ranker` computes what does not depend on the weights once and keeps it:
     and maxsim keep only the text's token-bucket array.
   - per term (cross), the ``q|t`` and ``m|t`` keys are hashed once to their
     (bucket, sign).
-  - per (query, doc) pair (cross), the sparse feature vector.
+  - per (query, signature) (cross), the sparse feature vector. A doc's
+    signature is its count of each distinct query term, in first-occurrence
+    order; the features depend on nothing else, so docs with equal counts
+    share one vector; `cross_features(q, None)` has the all-zero signature.
+  - per (query, doc list) (cross), a scoring plan (`_cross_plan`): the list's
+    distinct signatures' features and each doc's position among them.
   - per `train` call, each triplet's scoring docs and feature or bucket
     arrays and, for cross and bi, its gradient rows and their inverse map
     (`_prepare_triplet`). Maxsim's rows depend on the argmax, so it keeps
@@ -23,9 +28,13 @@ features, scores and trained weights are bit-identical.
 
 Scoring has one path, `Ranker.score_batch`: one query against a list of
 documents. `score`, `rerank`, `mean_loss`, uncertainty and QBC selection and
-evaluation all go through it. Each document is scored with its own dot
-product or small matmul, as one `score` call did before; one big matmul or
-`np.add.reduceat` over all of them would change the last bit of some scores.
+evaluation all go through it. Cross computes one `w[idx] @ vals` per distinct
+signature of the list's plan and gathers the documents' scores from those;
+bi and maxsim score each document with its own dot product or small matmul,
+as one `score` call did before. The dot products stay separate: one big
+matmul, a sum or `np.add.reduceat` over all of them would change the last
+bit of some scores (for n < 16 OpenBLAS's `ddot` accumulates by fused
+multiply-add, which a plain sequential sum does not reproduce).
 
 Training is sparse: a triplet's gradient is a block over only the weight rows
 it touches (its query's and documents' buckets or hashed features), added into
@@ -194,13 +203,21 @@ def _marked_rows(union: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, 
     return union[mask], mask.cumsum()[positions] - 1
 
 
+def _signature(q_tokens: tuple[str, ...], d_tokens: tuple[str, ...]) -> tuple[int, ...]:
+    """A doc's count of each distinct query term, in first-occurrence order:
+    the only part of the doc its cross features depend on."""
+    return tuple(map(d_tokens.count, dict.fromkeys(q_tokens)))
+
+
 class Ranker:
     """Stateless scoring/training engine for one config; states are explicit."""
 
     def __init__(self, config: RankerConfig):
         self.config = config
         self._hasher = _Hasher(config.hash_seed)
-        self._feature_cache: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+        # cross: (query, signature) -> features and (query, doc list) -> plan
+        self._feature_cache: dict[tuple[str, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
+        self._plan_cache: dict[tuple[str, tuple[str, ...]], tuple[list, np.ndarray]] = {}
         # cross: text -> interned tokens and term -> hashed features;
         # bi and maxsim: text -> token buckets
         self._token_cache: dict[str, tuple[str, ...]] = {}
@@ -257,31 +274,60 @@ class Ranker:
         return cached
 
     def cross_features(self, query_text: str, doc_text: str | None) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse hashed feature vector as (bucket indices, signed values)."""
-        key = (query_text, doc_text if doc_text is not None else "\x00none")
-        cached = self._feature_cache.get(key)
-        if cached is not None:
-            return cached
+        """Sparse hashed feature vector as (bucket indices, signed values).
+
+        `doc_text=None` gives the doc-free features: the all-zero signature."""
         q_tokens = self._tokens(query_text)
         if not q_tokens:
             return np.zeros(0, dtype=np.int64), np.zeros(0)
         d_tokens = self._tokens(doc_text) if doc_text is not None else ()
+        return self._signature_features(query_text, _signature(q_tokens, d_tokens))
+
+    def _signature_features(
+        self, query_text: str, signature: tuple[int, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`cross_features` of any doc with this signature (see `_signature`)."""
+        key = (query_text, signature)
+        cached = self._feature_cache.get(key)
+        if cached is not None:
+            return cached
+        q_tokens = self._tokens(query_text)
         n_q = len(q_tokens)
         values: dict[int, float] = {}
-        # distinct query terms in first-occurrence order
-        for t in dict.fromkeys(q_tokens):
+        # distinct query terms in first-occurrence order, as in the signature
+        for t, tf in zip(dict.fromkeys(q_tokens), signature):
             c = q_tokens.count(t)
             q_idx, q_sign, m_idx, m_sign = self._term_features(t)
             values[q_idx] = values.get(q_idx, 0.0) + q_sign * (c / n_q)
-            tf = d_tokens.count(t)
             if tf > 0:
                 values[m_idx] = values.get(m_idx, 0.0) + m_sign * (c * (1.0 + math.log(tf)) / n_q)
 
         order = sorted(values)
-        idx = np.array(order, dtype=np.int64)
-        vals = np.array([values[i] for i in order])
-        self._feature_cache[key] = (idx, vals)
-        return idx, vals
+        cached = self._feature_cache[key] = (
+            np.array(order, dtype=np.int64),
+            np.array([values[i] for i in order]),
+        )
+        return cached
+
+    def _cross_plan(self, query_text: str, doc_texts: list[str]) -> tuple[list, np.ndarray]:
+        """The cross scoring plan of a query with tokens and a doc list: the
+        features of the list's distinct signatures, and each doc's position
+        among them (-1 for a doc with no tokens). Made once per list."""
+        key = (query_text, tuple(doc_texts))
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            q_tokens = self._tokens(query_text)
+            slots: dict[tuple[int, ...], int] = {}
+            doc_slots = []
+            for doc_text in doc_texts:
+                d_tokens = self._tokens(doc_text)
+                if d_tokens:
+                    doc_slots.append(slots.setdefault(_signature(q_tokens, d_tokens), len(slots)))
+                else:
+                    doc_slots.append(-1)
+            features = [self._signature_features(query_text, sig) for sig in slots]
+            plan = self._plan_cache[key] = (features, np.array(doc_slots, dtype=np.intp))
+        return plan
 
     # -- scoring -----------------------------------------------------------
 
@@ -300,12 +346,10 @@ class Ranker:
         if arch == "cross":
             if not self._tokens(query_text):
                 return scores
+            features, doc_slots = self._cross_plan(query_text, doc_texts)
             w = state.arrays["w"]
-            for k, doc_text in enumerate(doc_texts):
-                if self._tokens(doc_text):
-                    idx, vals = self.cross_features(query_text, doc_text)
-                    scores[k] = w[idx] @ vals
-            return scores
+            # one dot per signature; the appended 0.0 is slot -1's score
+            return np.array([w[idx] @ vals for idx, vals in features] + [0.0])[doc_slots]
         qb = self._buckets(query_text)
         if qb.size == 0:
             return scores

@@ -226,6 +226,17 @@ class TestCrossFeatureExactness:
                 want = want * state.arrays["w"]
             assert _same_bytes(ranker.encode_query(state, q), want), q
 
+    def test_doc_free_features_do_not_depend_on_call_order(self):
+        # a corpus may hold any text, including one that looks like a cache tag
+        corpus = Corpus({"d1": "\x00none"})
+        want = per_call_cross_features("none", corpus["d1"], 16, 0)
+        fresh = small_ranker("cross", dim=16)
+        warmed = small_ranker("cross", dim=16)
+        warmed.encode_query(warmed.init_state(0), "none")
+        for ranker in (fresh, warmed):
+            idx, vals = ranker.cross_features("none", corpus["d1"])
+            assert _same_bytes(idx, want[0]) and _same_bytes(vals, want[1])
+
 
 class TestTokenCache:
     def test_cross_run_tokenizes_each_text_once(self, tiny_bundle, monkeypatch):
@@ -533,11 +544,11 @@ def test_maxsim_marked_rows_equal_unique(trained):
 
 def _oracle_score(ranker, state, query, doc):
     """The one-document score from before batched scoring, which tokenized
-    both texts on every call."""
+    both texts on every call (cross: from features computed per call)."""
     if not tokenize(query) or not tokenize(doc):
         return 0.0
     if state.architecture == "cross":
-        idx, vals = ranker.cross_features(query, doc)
+        idx, vals = per_call_cross_features(query, doc, ranker.config.dim, ranker.config.hash_seed)
         return float(state.arrays["w"][idx] @ vals)
     emb = state.arrays["emb"]
     qb, db = ranker._buckets(query), ranker._buckets(doc)
@@ -593,6 +604,69 @@ class TestScoreBatchExactness:
             for t in triplets
         ]
         assert ranker.mean_loss(state, triplets, corpus, query_set) == sum(losses) / len(losses)
+
+
+class TestCrossPlan:
+    """The cross model scores a list from a plan made on its first scoring:
+    one feature vector per distinct signature (count of each query term)."""
+
+    QUERY = "apple pear apple"
+    DOCS = [
+        "apple fig",  # signature (1, 0)
+        "fig kiwi apple",  # (1, 0) again
+        "pear apple pear",  # (1, 2)
+        "",  # no tokens
+        "kiwi plum",  # no query term: (0, 0)
+        "apple fig",  # repeated doc
+        "?! ...",  # no tokens
+        "pear pear apple",  # (1, 2) again
+        "apple apple pear fig",  # (2, 1)
+    ]
+
+    def _states(self, ranker):
+        state = ranker.init_state(4)
+        corpus = Corpus({f"d{i}": d for i, d in enumerate(self.DOCS)}, permissive=True)
+        queries = QuerySet({"q": self.QUERY, "r": "kiwi fig"})
+        triplets = [TrainingTriplet("q", "d2", "d4"), TrainingTriplet("q", "d8", "d0"),
+                    TrainingTriplet("r", "d4", "d2")]
+        trained = ranker.train(state, triplets, corpus, queries, epochs=5, seed=1)
+        assert not np.array_equal(trained.arrays["w"], state.arrays["w"])
+        return corpus, [state, trained]
+
+    @staticmethod
+    def _want(ranker, state, query, docs):
+        return np.array([_oracle_score(ranker, state, query, d) for d in docs])
+
+    def test_plan_reuse_equals_per_document_oracle_bytes(self):
+        ranker = small_ranker("cross", dim=8)
+        corpus, states = self._states(ranker)
+        prefix = self.DOCS[:5]
+        for _ in range(2):  # the second round reuses every plan
+            for state in states:
+                want = self._want(ranker, state, self.QUERY, self.DOCS)
+                assert _same_bytes(ranker.score_batch(state, self.QUERY, self.DOCS), want)
+                assert _same_bytes(ranker.score_batch(state, self.QUERY, prefix), want[:5])
+                assert _same_bytes(ranker.score_batch(state, self.QUERY, []), np.zeros(0))
+                assert _same_bytes(ranker.score_batch(state, "?!", self.DOCS),
+                                   np.zeros(len(self.DOCS)))
+                candidates = RankedList("q", [(did, 0.0) for did in corpus.ids()])
+                reranked = ranker.rerank(state, self.QUERY, candidates, corpus)
+                assert reranked.entries == RankedList(
+                    "q", list(zip(corpus.ids(), want.tolist()))
+                ).entries
+
+    def test_one_cache_entry_per_distinct_signature(self):
+        ranker = small_ranker("cross", dim=8)
+        state = ranker.init_state(4)
+        ranker.score_batch(state, self.QUERY, self.DOCS)
+        # (1, 0), (1, 2), (0, 0) and (2, 1) for 9 docs, 2 of them token-less
+        keys = [key for key in ranker._feature_cache if key[0] == self.QUERY]
+        assert sorted(sig for _, sig in keys) == [(0, 0), (1, 0), (1, 2), (2, 1)]
+        ranker.encode_query(state, self.QUERY)  # the all-zero signature is reused
+        assert len(ranker._feature_cache) == 4
+        a = ranker.cross_features(self.QUERY, "apple fig")
+        b = ranker.cross_features(self.QUERY, "fig kiwi apple")
+        assert a[0] is b[0] and a[1] is b[1]
 
 
 class TestTraining:
