@@ -55,6 +55,10 @@ class ExperimentConfig:
             raise ValueError("retrain scenario requires initial_checkpoint")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.negatives_depth < self.selection.candidate_depth:
+            # make_bundle would cut the training candidates to negatives_depth
+            # while the test candidates keep candidate_depth
+            raise ValueError("negatives_depth must be >= selection.candidate_depth")
         if self.schedule is not None and len(self.schedule) != self.iterations:
             raise ValueError(
                 f"schedule length {len(self.schedule)} does not match "

@@ -15,11 +15,8 @@ A `Ranker` computes what does not depend on the weights once and keeps it:
     share one vector; `cross_features(q, None)` has the all-zero signature.
   - per (query, doc list) (cross), a scoring plan (`_cross_plan`): the list's
     distinct signatures' features and each doc's position among them.
-  - per `train` call, each triplet's scoring docs and feature or bucket
-    arrays and, for cross and bi, its gradient rows and their inverse map
-    (`_prepare_triplet`). Maxsim's rows depend on the argmax, so it keeps
-    the sorted union of its buckets and each bucket's position in it, and
-    each step marks the positions the argmax picked.
+  - per `train` call, each triplet's scoring docs and their feature or
+    bucket arrays (`_prepare_triplet`).
 The caches only skip recomputing the same values: a cross feature vector is
 built from the cached tokens with the float operations of the per-call
 version (per bucket, `sign * value` added for ``q|t`` and then ``m|t``, over
@@ -28,23 +25,25 @@ features, scores and trained weights are bit-identical.
 
 Scoring has one path, `Ranker.score_batch`: one query against a list of
 documents. `score`, `rerank`, `mean_loss`, uncertainty and QBC selection and
-evaluation all go through it. Cross computes one `w[idx] @ vals` per distinct
-signature of the list's plan and gathers the documents' scores from those;
-bi and maxsim score each document with its own dot product or small matmul,
-as one `score` call did before. The dot products stay separate: one big
+evaluation all go through it. Cross computes one `w[idx].dot(vals)` per
+distinct signature of the list's plan and gathers the documents' scores from
+those; bi and maxsim score each document with its own dot product or small
+matmul, as one `score` call did before. A 1-D `a.dot(b)` is the same `ddot`
+call as `a @ b`, with less dispatch. The dot products stay separate: one big
 matmul, a sum or `np.add.reduceat` over all of them would change the last
 bit of some scores (for n < 16 OpenBLAS's `ddot` accumulates by fused
 multiply-add, which a plain sequential sum does not reproduce).
 
-Training is sparse: a triplet's gradient is a block over only the weight rows
-it touches (its query's and documents' buckets or hashed features), added into
-the mini-batch gradient at those rows, and the SGD update rewrites only the
-rows the batch touched. The block is filled by one 1-D `np.add.at` over its
-flattened elements, with the terms laid out in the order of the dense
-per-term fill. Each touched row receives the same float additions in the
-same order as a dense per-triplet gradient summed into a dense batch
-gradient, and an untouched row would only see `+ 0.0` and `- 0.0`, so the
-trained weights are bit-identical to the dense algorithm's.
+Training computes one gradient per mini-batch (`_batch_gradient`): per
+triplet only the score operations and the scalar `ranknet_gradient` run, and
+the batch's gradient terms are assembled at once. Each term is keyed by
+(triplet, row), each key's terms are summed in term order, which gives the
+triplet's own gradient at that row, and those sums go into the batch gradient
+in triplet order (`_ordered_add`). So each touched row receives the same float
+additions in the same order as a dense per-triplet gradient summed into a
+dense batch gradient, and the SGD update rewrites only the touched rows (an
+untouched one would only see `+ 0.0` and `- 0.0`): the trained weights are
+bit-identical to the dense algorithm's.
 
 Cross-scorer feature map (hashed into `dim` signed buckets):
   - per distinct query term t with count c: key ``q|t``, value c / |q|
@@ -72,6 +71,9 @@ from .lexical import tokenize
 ARCHITECTURES = ("cross", "bi", "maxsim")
 CHECKPOINT_MAGIC = b"ALRK"
 CHECKPOINT_VERSION = 1
+# floats of each (terms, width) temporary of one group of triplets in a
+# training step: 512 KB stays in cache; a cross batch fits in one group
+_GROUP_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,10 @@ class RankerConfig:
             raise ValueError("dim must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.epochs_selection < 1:
+            raise ValueError("epochs_selection must be >= 1")
         if self.epochs_selection > self.epochs_evaluation:
             raise ValueError("epochs_selection must be <= epochs_evaluation")
 
@@ -174,33 +180,35 @@ def ranknet_gradient(s_pos: float, s_neg: float, sigma: float = 1.0) -> tuple[fl
 
 
 class _Triplet(NamedTuple):
-    """A triplet as `Ranker._prepare_triplet` leaves it for `_triplet_gradient`."""
+    """A triplet as `Ranker._prepare_triplet` leaves it for `_batch_gradient`."""
 
     query_buckets: np.ndarray | None  # bi and maxsim
     # (0 for the positive doc or 1 for the negative, its cross (idx, vals) or
     # its buckets), for the docs that score: both texts have tokens
     docs: tuple
-    # cross and bi: the gradient's rows and each term index's position among
-    # them. maxsim: `rows` is the sorted union of the query's and the scoring
-    # docs' buckets, `where` is None, and `positions` holds the position in
-    # `rows` of each of the query's buckets, then of each scoring doc's.
-    rows: np.ndarray | None
-    where: np.ndarray | None
-    positions: tuple | None
+    size: int  # the number of rows of its gradient terms (see `_batch_gradient`)
 
 
-def _unique_rows(indices: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct rows of the concatenated indices, and the position
-    of each index among them."""
-    return np.unique(np.concatenate(indices), return_inverse=True)
+def _ordered_add(target: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """`np.add.at(target, index, values)`, bit for bit: the values of each
+    index are added to its row one at a time, in order.
 
-
-def _marked_rows(union: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_unique_rows` of `union[positions]`, for a sorted distinct `union`:
-    the marked entries of `union`, and each position's rank among the marks."""
-    mask = np.zeros(union.size, dtype=bool)
-    mask[positions] = True
-    return union[mask], mask.cumsum()[positions] - 1
+    2-D `np.add.at` is slow on wide rows, so a 2-D target takes one fancy-index
+    `+=` per occurrence rank instead: every index's first value, then every
+    repeated index's second, and so on. Within one rank the indices are
+    distinct, so each element still gets one rounded addition per value."""
+    if target.ndim == 1 or index.size == 0:
+        np.add.at(target, index, values)
+        return
+    order = np.argsort(index, kind="stable")
+    ranked = index[order]
+    first = np.ones(index.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    position = np.arange(index.size)
+    rank = position - np.maximum.accumulate(np.where(first, position, 0))
+    for r in range(rank.max() + 1):
+        at = rank == r
+        target[ranked[at]] += values[order[at]]
 
 
 def _signature(q_tokens: tuple[str, ...], d_tokens: tuple[str, ...]) -> tuple[int, ...]:
@@ -338,7 +346,7 @@ class Ranker:
         """Scores of one query against each document, in order.
 
         A query or document with no tokens scores 0. Each score uses the same
-        operations as the training step's scores (see `_triplet_gradient`).
+        operations as the training step's scores (see `_batch_gradient`).
         """
         self._check_state(state)
         scores = np.zeros(len(doc_texts))
@@ -349,7 +357,7 @@ class Ranker:
             features, doc_slots = self._cross_plan(query_text, doc_texts)
             w = state.arrays["w"]
             # one dot per signature; the appended 0.0 is slot -1's score
-            return np.array([w[idx] @ vals for idx, vals in features] + [0.0])[doc_slots]
+            return np.array([w[idx].dot(vals) for idx, vals in features] + [0.0])[doc_slots]
         qb = self._buckets(query_text)
         if qb.size == 0:
             return scores
@@ -361,7 +369,7 @@ class Ranker:
             if db.size == 0:
                 continue
             if arch == "bi":
-                scores[k] = vq @ emb[db].mean(axis=0)
+                scores[k] = vq.dot(emb[db].mean(axis=0))
             else:
                 scores[k] = (eq @ emb[db].T).max(axis=1).sum()
         return scores
@@ -393,7 +401,10 @@ class Ranker:
             raise ValueError(f"empty candidate list for query {candidates.query_id}")
         doc_ids = candidates.doc_ids()
         scores = self.score_batch(state, query_text, [corpus[did] for did in doc_ids])
-        return RankedList(candidates.query_id, list(zip(doc_ids, scores.tolist())))
+        # RankedList's order, unchecked (ids distinct, scores floats); -(-s) is s
+        ranked = RankedList(candidates.query_id, [])
+        ranked.entries = [(did, -neg) for neg, did in sorted(zip((-scores).tolist(), doc_ids))]
+        return ranked
 
     # -- training ----------------------------------------------------------
 
@@ -404,25 +415,20 @@ class Ranker:
         pos_text: str,
         neg_text: str,
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """RankNet loss and dense gradient for a single triplet (the sparse
-        gradient of `_triplet_gradient` written into a zero array)."""
+        """RankNet loss and dense gradient for a single triplet: the training
+        step's gradient of a one-triplet batch, added into a zero array."""
         self._check_state(state)
         weights = state.arrays[self._param]
-        triplet = self._prepare_triplet(query_text, pos_text, neg_text)
-        loss, rows, block = self._triplet_gradient(weights, triplet)
         grad = np.zeros_like(weights)
-        grad[rows] = block
-        return loss, {self._param: grad}
+        triplet = self._prepare_triplet(query_text, pos_text, neg_text)
+        [(s_pos, s_neg)], _ = self._batch_gradient(weights, [triplet], grad)
+        return ranknet_loss(s_pos, s_neg, self.config.sigma), {self._param: grad}
 
     def _prepare_triplet(self, query_text: str, pos_text: str, neg_text: str) -> _Triplet:
         """The part of a triplet's gradient that does not depend on the weights.
 
         A doc with no tokens, or a query with none, scores 0 and is left out
-        of `docs`. The gradient's rows are the concatenated indices of its
-        terms: cross, per doc its feature indices; bi, per doc the query's
-        buckets, then the doc's. Their `np.unique` is computed here. Maxsim's
-        doc rows depend on the argmax, so it keeps the union of its buckets
-        and their positions in it instead.
+        of `docs`.
         """
         arch = self.config.architecture
         if arch == "cross":
@@ -432,6 +438,7 @@ class Ranker:
                 for k, doc_text in enumerate((pos_text, neg_text))
                 if self._tokens(query_text) and self._tokens(doc_text)
             )
+            size = sum(idx.size for _, (idx, _) in docs)
         else:
             qb = self._buckets(query_text)
             docs = tuple(
@@ -439,86 +446,83 @@ class Ranker:
                 for k, db in enumerate((self._buckets(pos_text), self._buckets(neg_text)))
                 if qb.size and db.size
             )
-        if not docs:
-            return _Triplet(qb, docs, None, None, None)
-        if arch == "maxsim":
-            buckets = [qb] + [db for _, db in docs]
-            union = np.unique(np.concatenate(buckets))
-            positions = tuple(np.searchsorted(union, b) for b in buckets)
-            return _Triplet(qb, docs, union, None, positions)
-        if arch == "cross":
-            indices = [idx for _, (idx, _) in docs]
-        else:
-            indices = [b for _, db in docs for b in (qb, db)]
-        return _Triplet(qb, docs, *_unique_rows(indices), None)
+            size = sum(qb.size + (qb.size if arch == "maxsim" else db.size) for _, db in docs)
+        return _Triplet(qb, docs, size)
 
-    def _triplet_gradient(
-        self, weights: np.ndarray, triplet: _Triplet
-    ) -> tuple[float, np.ndarray, np.ndarray]:
-        """RankNet loss of one prepared triplet and its gradient over the rows
-        it touches.
+    def _batch_gradient(
+        self, weights: np.ndarray, batch: list[_Triplet], grads: np.ndarray
+    ) -> tuple[list[list[float]], list[np.ndarray]]:
+        """Add the RankNet gradient of each prepared triplet of a mini-batch
+        into `grads`, as if triplet by triplet.
 
-        Returns (loss, rows, block): `rows` are the sorted distinct indices of
-        `weights` with a gradient term and `block[k]` is the gradient of row
-        `rows[k]`. The terms are laid out in a fixed order (positive doc, then
-        negative; within a doc, query rows, then doc rows) and added by one
-        1-D `np.add.at` on the flattened block, which adds them one element
-        at a time in that order, so every element sums the same floats in the
-        same order as one `np.add.at` per term into a dense zero array would.
-        The scores use the same operations as `score`.
+        Per triplet, only the score operations (those of `score_batch`) and
+        `ranknet_gradient` run. The gradient terms are rows of values, per doc
+        in this order: cross `g * vals` at its feature rows; bi `g * vd / |q|`
+        at the query's rows, then `g * vq / |d|` at the doc's; maxsim
+        `g * w[argmax rows]` at the query's rows, then `g * w[query rows]` at
+        the argmax rows. They are summed per (triplet, row) in term order, and
+        the sums go into `grads` in triplet order. The weights are fixed within
+        a batch, so this runs per group of consecutive triplets, whose (terms,
+        width) temporaries stay under `_GROUP_FLOATS`, with no change to the sums.
 
-        Maxsim's rows are those of the union its terms' positions mark
-        (`_marked_rows`).
+        Returns each triplet's [positive, negative] score and, per group, the
+        rows of `grads` it added to (with repeats).
         """
         arch = self.config.architecture
-        qb, docs, rows, where, positions = triplet
-        if docs and arch != "cross":
-            eq = weights[qb]
-            vq = eq.mean(axis=0) if arch == "bi" else None
-        scores = [0.0, 0.0]
-        # per doc: (indices, vector, n) with d(score)/d(weights[indices]) = vector / n
-        partials: list[list[tuple]] = [[], []]
-        picked = []  # maxsim: each term's positions in `rows`, in term order
-        for j, (k, data) in enumerate(docs):
+        n_rows = weights.shape[0]
+        per_doc = 1 if arch == "cross" else 2  # gradient sources per scoring doc
+        width = weights[0].size
+        per_group = max(1, _GROUP_FLOATS // (width * max(max(t.size for t in batch), 1)))
+        scores, touched = [], []
+        for a in range(0, len(batch), per_group):
+            group = batch[a : a + per_group]
+            # per gradient source, in term order: its factor g, its rows, and
+            # its values (cross), vector (bi) or source rows (maxsim)
+            factors, rows, sources = [], [], []
+            for t in group:
+                s = [0.0, 0.0]
+                if arch == "cross":
+                    for k, (idx, vals) in t.docs:
+                        s[k] = float(weights[idx].dot(vals))
+                        rows.append(idx)
+                        sources.append(vals)
+                elif t.docs:
+                    qb = t.query_buckets
+                    eq = weights[qb]
+                    vq = eq.mean(axis=0) if arch == "bi" else None
+                    for k, db in t.docs:
+                        if arch == "bi":
+                            vd = weights[db].mean(axis=0)
+                            s[k] = float(vq.dot(vd))
+                            rows += [qb, db]
+                            sources += [vd, vq]
+                        else:
+                            sims = eq @ weights[db].T
+                            best = db[sims.argmax(axis=1)]
+                            s[k] = float(sims.max(axis=1).sum())
+                            rows += [qb, best]
+                            sources += [best, qb]
+                g = ranknet_gradient(s[0], s[1], self.config.sigma)
+                for k, _ in t.docs:
+                    factors += [g[k]] * per_doc
+                scores.append(s)
+            if not factors:
+                continue
+            counts = [r.size for r in rows]
             if arch == "cross":
-                idx, vals = data
-                scores[k] = float(weights[idx] @ vals)
-                partials[k] = [(idx, vals, 1)]
+                values = np.repeat(factors, counts) * np.concatenate(sources)
             elif arch == "bi":
-                vd = weights[data].mean(axis=0)
-                scores[k] = float(vq @ vd)
-                partials[k] = [(qb, vd, qb.size), (data, vq, data.size)]
+                n = np.array(counts)
+                values = np.repeat(np.array(factors)[:, None] * np.array(sources) / n[:, None], n, axis=0)
             else:
-                ed = weights[data]
-                sims = eq @ ed.T
-                best = sims.argmax(axis=1)
-                scores[k] = float(sims[np.arange(best.size), best].sum())
-                partials[k] = [(qb, ed[best], 1), (data[best], eq, 1)]
-                picked += [positions[0], positions[1 + j][best]]
-        sigma = self.config.sigma
-        loss = ranknet_loss(scores[0], scores[1], sigma)
-        g_docs = ranknet_gradient(scores[0], scores[1], sigma)
-        # x / 1.0 == x exactly, so the division is skipped when n == 1.
-        terms = [
-            (idx, g * vec if n == 1 else g * vec / n)
-            for g, doc in zip(g_docs, partials)
-            for idx, vec, n in doc
-        ]
-        if not terms:
-            return loss, np.zeros(0, dtype=np.int64), np.zeros((0,) + weights.shape[1:])
-        if where is None:
-            rows, where = _marked_rows(rows, np.concatenate(picked))
-        block = np.zeros((rows.size,) + weights.shape[1:])
-        # bi's terms are one vector for all of a doc's rows; broadcast it to them.
-        values = np.concatenate([
-            vals if vals.ndim == weights.ndim else np.broadcast_to(vals, (idx.size, vals.size))
-            for idx, vals in terms
-        ])
-        if weights.ndim == 2:
-            width = weights.shape[1]
-            where = (where[:, None] * width + np.arange(width)).ravel()
-        np.add.at(block.reshape(-1), where, values.ravel())
-        return loss, rows, block
+                values = np.repeat(factors, counts)[:, None] * weights[np.concatenate(sources)]
+            position = np.repeat(np.arange(len(group)), [t.size for t in group])
+            keys, inverse = np.unique(position * n_rows + np.concatenate(rows), return_inverse=True)
+            sums = np.zeros((keys.size,) + weights.shape[1:])
+            _ordered_add(sums, inverse, values)
+            touched.append(keys % n_rows)
+            _ordered_add(grads, touched[-1], sums)
+        return scores, touched
 
     def mean_loss(
         self,
@@ -546,12 +550,12 @@ class Ranker:
     ) -> RankerState:
         """SGD over shuffled mini-batches; pure in `state`, deterministic in seed.
 
-        Each triplet's gradient covers only the rows it touches and is added
-        into the batch gradient at those rows; the update then changes only
-        the rows the batch touched. The result is bit-identical to summing
-        dense per-triplet gradients into a dense batch gradient and updating
-        every row (see the module docstring). Each triplet is prepared once
-        per call (`_prepare_triplet`), not once per epoch.
+        Each mini-batch's gradient is assembled once (`_batch_gradient`) over
+        only the rows its triplets touch, and the update changes only those
+        rows. The result is bit-identical to summing dense per-triplet
+        gradients into a dense batch gradient and updating every row (see the
+        module docstring). Each triplet is prepared once per call
+        (`_prepare_triplet`), not once per epoch.
         """
         if not triplets:
             raise ValueError("cannot train on an empty triplet list")
@@ -568,6 +572,7 @@ class Ranker:
         new = state.copy()
         weights = new.arrays[self._param]
         batch_grads = np.zeros_like(weights)
+        in_batch = np.zeros(len(weights), dtype=bool)  # the rows a batch touched
         prepared = [
             self._prepare_triplet(queries[t.query_id], corpus[t.positive_id], corpus[t.negative_id])
             for t in triplets
@@ -578,15 +583,13 @@ class Ranker:
         for _ in range(epochs):
             rng.shuffle(order)
             for start in range(0, len(order), cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                touched = []
-                for i in batch:
-                    _, rows, block = self._triplet_gradient(weights, prepared[i])
-                    batch_grads[rows] += block
-                    touched.append(rows)
-                batch_rows = np.unique(np.concatenate(touched))
-                weights[batch_rows] -= cfg.learning_rate * batch_grads[batch_rows] / len(batch)
-                batch_grads[batch_rows] = 0.0
+                batch = [prepared[i] for i in order[start : start + cfg.batch_size].tolist()]
+                for rows in self._batch_gradient(weights, batch, batch_grads)[1]:
+                    in_batch[rows] = True
+                rows = np.flatnonzero(in_batch)
+                weights[rows] -= cfg.learning_rate * batch_grads[rows] / len(batch)
+                batch_grads[rows] = 0.0
+                in_batch[rows] = False
                 new.step += 1
         return new
 

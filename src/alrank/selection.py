@@ -33,6 +33,8 @@ class SelectionConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.samples_per_iteration < 1:
             raise ValueError("samples_per_iteration must be >= 1")
+        if self.candidate_depth < 1:
+            raise ValueError("candidate_depth must be >= 1")
         if self.committee_size < 2:
             raise ValueError("committee_size must be >= 2")
         if not 0 < self.member_fraction <= 1:

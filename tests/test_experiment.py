@@ -69,6 +69,11 @@ class TestExperimentConfig:
     def test_default_batch(self):
         assert tiny_config().batch_for(2) == 3
 
+    def test_negatives_depth_below_candidate_depth_rejected(self):
+        with pytest.raises(ValueError, match="negatives_depth"):
+            tiny_config(negatives_depth=19)
+        assert tiny_config(negatives_depth=20).negatives_depth == 20
+
     def test_retrain_needs_checkpoint(self):
         with pytest.raises(ValueError, match="initial_checkpoint"):
             tiny_config(scenario="retrain")

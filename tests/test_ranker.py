@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alrank import ranker as ranker_module
 from alrank.datamodel import Corpus, QuerySet, RankedList, TrainingTriplet
@@ -299,6 +301,20 @@ class TestRerank:
         candidates = RankedList("q", [("b", 3.0), ("a", 2.0), ("c", 1.0)])
         assert ranker.rerank(state, "x", candidates, corpus).doc_ids() == ["a", "b", "c"]
 
+    def test_equals_validating_constructor(self, monkeypatch):
+        # tied scores and signed zeros: ties go to the smaller doc id, and each
+        # entry keeps its score's bits
+        ids = ["d3", "d0", "d7", "d1", "d5", "d2", "d6", "d4"]
+        scores = np.array([0.0, -0.0, 1.5, 1.5, -0.0, 0.0, -2.0, 1.5])
+        ranker = small_ranker("cross")
+        monkeypatch.setattr(ranker, "score_batch", lambda *args: scores)
+        candidates = RankedList("q", [(did, -float(i)) for i, did in enumerate(ids)])
+        got = ranker.rerank(ranker.init_state(0), "x", candidates, Corpus({d: d for d in ids}))
+        want = RankedList("q", list(zip(ids, scores.tolist())))
+        assert got == want
+        assert got.doc_ids() == ["d1", "d4", "d7", "d0", "d2", "d3", "d5", "d6"]
+        assert repr(got.entries) == repr(want.entries)
+
     def test_bi_full_retrieval_equals_full_rerank(self, tiny_bundle):
         # exhaustive dot-product scoring over the corpus == rerank with all docs
         ranker = small_ranker("bi", dim=8, buckets=64)
@@ -474,6 +490,19 @@ class TestSparseTrainingExactness:
         assert all(_same_bytes(trained.arrays[k], want.arrays[k]) for k in want.arrays)
         assert trained != state
 
+    @pytest.mark.parametrize("batch_size", [1, 50])
+    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    def test_one_triplet_and_oversized_batches_equal_dense_oracle(self, arch, batch_size):
+        # batch_size=1: one update per triplet; 50 > 7 triplets: one update per epoch
+        ranker = small_ranker(arch, dim=6, buckets=8, batch_size=batch_size, learning_rate=0.3)
+        state = ranker.init_state(9)
+        args = (self.TRIPLETS, self.CORPUS, self.QUERIES, 3, 2)
+        trained = ranker.train(state, *args)
+        want = _oracle_train(ranker, state, *args)
+        assert trained.step == want.step == 3 * (7 if batch_size == 1 else 1)
+        assert all(_same_bytes(trained.arrays[k], want.arrays[k]) for k in want.arrays)
+        assert trained != state
+
     @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
     def test_prepared_triplets_reused_over_batches_and_epochs(self, arch):
         # repeated triplets (within and across batches), a triplet of two
@@ -511,35 +540,51 @@ class TestSparseTrainingExactness:
         assert trained != state
 
 
-@pytest.mark.parametrize("trained", [False, True])
-def test_maxsim_marked_rows_equal_unique(trained):
-    """Maxsim's rows from the marked union equal `np.unique`'s, array for array."""
-    triplets, corpus, queries = _realistic_training_data(seed=3)
-    ranker = small_ranker("maxsim", dim=64, buckets=16, learning_rate=0.3)
-    state = ranker.init_state(2)
-    if trained:
-        state = ranker.train(state, triplets, corpus, queries, 3, 5)
-    emb = state.arrays["emb"]
-    checked = 0
-    for t in triplets:
-        qb, docs, union, where, positions = ranker._prepare_triplet(
-            queries[t.query_id], corpus[t.positive_id], corpus[t.negative_id]
-        )
-        if not docs:
-            continue
-        assert where is None
-        indices, picked = [], []
-        for j, (_, db) in enumerate(docs):
-            best = (emb[qb] @ emb[db].T).argmax(axis=1)
-            indices += [qb, db[best]]
-            picked += [positions[0], positions[1 + j][best]]
-        rows, inverse = ranker_module._marked_rows(union, np.concatenate(picked))
-        want_rows, want_inverse = np.unique(np.concatenate(indices), return_inverse=True)
-        for got, want in ((rows, want_rows), (inverse, want_inverse)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want), t
-        checked += 1
-    assert checked > 50
+_floats = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(
+    min_value=-1e3, max_value=1e3, allow_nan=False, allow_subnormal=True
+)
+
+
+@given(
+    n_rows=st.integers(1, 5),
+    width=st.sampled_from([None, 1, 3]),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_ordered_add_equals_add_at_bytes(n_rows, width, data):
+    """The training step's ordered add equals `np.add.at` byte for byte, on
+    1-D and 2-D targets, with repeated indices and signed zeros."""
+    shape = (n_rows,) if width is None else (n_rows, width)
+    size = int(np.prod(shape))
+    target = np.array(data.draw(st.lists(_floats, min_size=size, max_size=size))).reshape(shape)
+    index = np.array(
+        data.draw(st.lists(st.integers(0, n_rows - 1), max_size=12)), dtype=np.int64
+    )
+    n_values = index.size * (1 if width is None else width)
+    values = np.array(
+        data.draw(st.lists(_floats, min_size=n_values, max_size=n_values)), dtype=float
+    ).reshape(index.shape + shape[1:])
+    got, want = target.copy(), target.copy()
+    ranker_module._ordered_add(got, index, values)
+    np.add.at(want, index, values)
+    assert _same_bytes(got, want)
+
+
+@pytest.mark.parametrize("group_floats", [1, 10_000])
+@pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+def test_training_groups_equal_dense_oracle_bytes(arch, group_floats, monkeypatch):
+    """Assembling a batch's gradient in groups of one triplet, or (bi and
+    maxsim at 10k floats) in groups of five or more triplets but the last,
+    changes no bit of the trained weights."""
+    monkeypatch.setattr(ranker_module, "_GROUP_FLOATS", group_floats)
+    triplets, corpus, queries = _realistic_training_data(seed=4, n_triplets=60)
+    ranker = small_ranker(arch, dim=64, buckets=16, batch_size=16, learning_rate=0.3)
+    state = ranker.init_state(6)
+    args = (triplets, corpus, queries, 2, 1)
+    trained = ranker.train(state, *args)
+    want = _oracle_train(ranker, state, *args)
+    assert trained == want
+    assert all(_same_bytes(trained.arrays[k], want.arrays[k]) for k in want.arrays)
 
 
 def _oracle_score(ranker, state, query, doc):
@@ -706,6 +751,16 @@ class TestTraining:
         state = ranker.init_state(2)
         trained = ranker.train(state, triplets, corpus, queries, epochs=1, seed=0)
         np.testing.assert_array_equal(trained.arrays["emb"], state.arrays["emb"])
+
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            RankerConfig(batch_size=0)
+        assert RankerConfig(batch_size=1).batch_size == 1
+
+    def test_epochs_selection_below_one_rejected(self):
+        with pytest.raises(ValueError, match="epochs_selection"):
+            RankerConfig(epochs_selection=0)
+        assert RankerConfig(epochs_selection=1).epochs_selection == 1
 
     def test_epoch_validation(self):
         corpus, queries, triplets = self._setup()

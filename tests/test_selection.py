@@ -514,3 +514,8 @@ class TestSelectionConfig:
             SelectionConfig(committee_size=1)
         with pytest.raises(ValueError):
             SelectionConfig(member_fraction=0.0)
+
+    def test_candidate_depth_below_one_rejected(self):
+        with pytest.raises(ValueError, match="candidate_depth"):
+            SelectionConfig(candidate_depth=0)
+        assert SelectionConfig(candidate_depth=1).candidate_depth == 1
