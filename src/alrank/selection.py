@@ -39,6 +39,10 @@ class SelectionConfig:
             raise ValueError("committee_size must be >= 2")
         if not 0 < self.member_fraction <= 1:
             raise ValueError("member_fraction must be in (0, 1]")
+        if self.entropy_pair_depth is not None and self.entropy_pair_depth < 2:
+            raise ValueError("entropy_pair_depth must be >= 2 or None")
+        if self.kmeans_max_iters < 1:
+            raise ValueError("kmeans_max_iters must be >= 1")
 
 
 def select_random(pool: list[str], s: int, rng: np.random.Generator) -> list[str]:
@@ -186,13 +190,21 @@ def kmeans(
     Empty clusters are repaired by reseeding from the point farthest from its
     assigned centroid. Returns an assignment array of length len(points).
 
-    Seeding and every Lloyd pass take their distances from
-    `_squared_distances`, which works through the points in row blocks of
-    about `_BLOCK_FLOATS` (2**17) floats of (rows, k, d) temporary: 12 rows
-    at k=20, d=512, about 1 MB whatever n is. Each (i, c) entry is still one
-    sum over the same contiguous length-d row of squared differences, so the
-    distances, hence the argmin, the repair and the assignment, are
-    bit-identical to one (n, k, d) broadcast.
+    Distances come from `_squared_distances`, which works through the points
+    in row blocks of about `_BLOCK_FLOATS` (2**17) floats of (rows, k, d)
+    temporary: 12 rows at k=20, d=512, about 1 MB whatever n is. The (n, k)
+    distance table is kept across passes and only stale columns are refilled:
+    seeding measures every seed's column and keeps it, so the first pass does
+    no distance work; after each pass only the clusters that gained or lost a
+    point get a new mean, and the next pass re-measures only their columns.
+
+    This is bit-identical to recomputing every distance and every mean in
+    every pass. Entry (i, c) is one sum over the contiguous length-d row of
+    squared differences of points[i] and centroids[c], whatever other
+    centroids are measured with it or how the rows are blocked; and an
+    unchanged cluster's mean runs over the same rows in the same order, so
+    its centroid keeps its bytes. The argmin, the repair and the assignment
+    are therefore those of one (n, k, d) broadcast per pass.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -200,11 +212,14 @@ def kmeans(
         raise ValueError(f"k ({k}) exceeds number of points ({n})")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
 
-    # k-means++ initialization
+    # k-means++ initialization; each seed's distance column is kept in dists
     centroids = np.empty((k, points.shape[1]))
+    dists = np.empty((n, k))
     centroids[0] = points[rng.integers(n)]
-    closest_sq = _squared_distances(points, centroids[0:1])[:, 0]
+    dists[:, 0] = closest_sq = _squared_distances(points, centroids[0:1])[:, 0]
     for c in range(1, k):
         total = closest_sq.sum()
         if total == 0.0:
@@ -214,13 +229,14 @@ def kmeans(
             idx = int(np.searchsorted(np.cumsum(closest_sq), r))
             idx = min(idx, n - 1)
             centroids[c] = points[idx]
-        closest_sq = np.minimum(
-            closest_sq, _squared_distances(points, centroids[c : c + 1])[:, 0]
-        )
+        dists[:, c] = _squared_distances(points, centroids[c : c + 1])[:, 0]
+        closest_sq = np.minimum(closest_sq, dists[:, c])
 
     assignment = None
+    moved = np.zeros(k, dtype=bool)  # centroids whose dists column is stale
     for _iter in range(max_iters):
-        dists = _squared_distances(points, centroids)
+        if moved.any():
+            dists[:, moved] = _squared_distances(points, centroids[moved])
         new_assignment = dists.argmin(axis=1)
         # repair empty clusters: steal the farthest point from a cluster of >= 2
         own_dist = dists[np.arange(n), new_assignment]
@@ -232,13 +248,18 @@ def kmeans(
                 worst = int(masked.argmax())
                 new_assignment[worst] = c
                 own_dist[worst] = -np.inf
-        if assignment is not None and (new_assignment == assignment).all():
-            break
+        if assignment is None:
+            moved[:] = True
+        else:
+            changed = new_assignment != assignment
+            if not changed.any():
+                break
+            moved[:] = False
+            moved[assignment[changed]] = True
+            moved[new_assignment[changed]] = True
         assignment = new_assignment
-        for c in range(k):
-            members = points[assignment == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
+        for c in np.flatnonzero(moved):
+            centroids[c] = points[assignment == c].mean(axis=0)
     return assignment
 
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alrank import selection
 from alrank.datamodel import Corpus, QuerySet, RankedList, Run
@@ -121,6 +123,37 @@ KMEANS_CASES = (
     "below_block_rows", "equal_to_block_rows", "not_a_multiple_of_block_rows",
     "k_is_1", "k_is_n", "d_is_1", "duplicates_force_repair", "negative_zeros",
 )
+
+
+@st.composite
+def sparse_encodings(draw):
+    """(points, k) shaped like cross query encodings: 64 dims, 2-6 nonzeros
+    a row, the rest 0.0 or -0.0, with repeated rows."""
+    distinct = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(distinct):
+        row = [draw(st.sampled_from((0.0, -0.0))) for _ in range(64)]
+        nonzero = draw(st.lists(st.integers(0, 63), min_size=2, max_size=6, unique=True))
+        for j in nonzero:
+            row[j] = draw(
+                st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False).filter(bool)
+            )
+        rows.append(row)
+    order = draw(st.lists(st.integers(0, distinct - 1), min_size=1, max_size=30))
+    points = np.array([rows[i] for i in order])
+    return points, draw(st.integers(1, len(points)))
+
+
+def kmeans_passes(points, k, seed, max_iters):
+    """Assignments after each Lloyd pass, from the oracle, and whether the
+    last pass found nothing to change."""
+    passes = []
+    for p in range(1, max_iters + 1):
+        labels = oracle_kmeans(points, k, np.random.default_rng(seed), max_iters=p)
+        if passes and np.array_equal(labels, passes[-1]):
+            return passes, True
+        passes.append(labels)
+    return passes, False
 
 
 class TestSelectRandom:
@@ -410,6 +443,52 @@ class TestKmeans:
                 == ((points - centroids[c]) ** 2).sum(axis=1).tobytes()
             )
 
+    @given(
+        case=sparse_encodings(),
+        max_iters=st.sampled_from((1, 2, 100)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_encodings_equal_oracle_byte_for_byte(self, case, max_iters, seed):
+        points, k = case
+        expected = oracle_kmeans(points, k, np.random.default_rng(seed), max_iters=max_iters)
+        got = kmeans(points, k, np.random.default_rng(seed), max_iters=max_iters)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_only_moved_centroids_are_remeasured(self, seed, monkeypatch):
+        points = np.random.default_rng(seed).normal(size=(300, 8))
+        k = 12
+        passes, converged = kmeans_passes(points, k, seed, 100)
+        # passes run, counting the one that found nothing to change
+        run = len(passes) + 1 if converged else len(passes)
+        assert run >= 5
+        # the seeding measures k columns; pass p + 1 re-measures the centroids
+        # of the clusters that gained or lost a point in pass p (all k after pass 1)
+        moved = [k] + [
+            len(set(old[changed].tolist()) | set(new[changed].tolist()))
+            for old, new in zip(passes, passes[1:])
+            for changed in [new != old]
+        ]
+        expected = k + sum(moved[: run - 1])
+        columns = []
+        measure = selection._squared_distances
+
+        def counting(points, centroids):
+            columns.append(len(centroids))
+            return measure(points, centroids)
+
+        monkeypatch.setattr(selection, "_squared_distances", counting)
+        labels = kmeans(points, k, np.random.default_rng(seed))
+        assert np.array_equal(labels, passes[-1])
+        assert sum(columns) == expected
+        # recomputing every column in every pass measures k * (passes + 1)
+        assert sum(columns) < k * (run + 1)
+
+    def test_max_iters_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            kmeans(np.zeros((4, 2)), 2, np.random.default_rng(0), max_iters=0)
+
     def test_traced_peak_is_below_one_copy_of_the_points(self):
         points = np.random.default_rng(0).normal(size=(2000, 512))
         tracemalloc.start()
@@ -519,3 +598,14 @@ class TestSelectionConfig:
         with pytest.raises(ValueError, match="candidate_depth"):
             SelectionConfig(candidate_depth=0)
         assert SelectionConfig(candidate_depth=1).candidate_depth == 1
+
+    def test_kmeans_max_iters_below_one_rejected(self):
+        with pytest.raises(ValueError, match="kmeans_max_iters"):
+            SelectionConfig(strategy="diversity", kmeans_max_iters=0)
+        assert SelectionConfig(kmeans_max_iters=1).kmeans_max_iters == 1
+
+    def test_entropy_pair_depth_below_two_rejected(self):
+        with pytest.raises(ValueError, match="entropy_pair_depth"):
+            SelectionConfig(strategy="qbc", entropy_pair_depth=1)
+        assert SelectionConfig(entropy_pair_depth=2).entropy_pair_depth == 2
+        assert SelectionConfig(entropy_pair_depth=None).entropy_pair_depth is None
