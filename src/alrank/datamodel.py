@@ -291,21 +291,3 @@ def parse_run(path: str | Path) -> Run:
         rankings[qid] = RankedList(qid, [(d, s) for _, d, s in rows])
     return Run(tag=tag, rankings=rankings)
 
-
-def serialize_triplets(triplets: list[TrainingTriplet], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in triplets:
-            fh.write(f"{t.query_id}\t{t.positive_id}\t{t.negative_id}\n")
-
-
-def parse_triplets(path: str | Path) -> list[TrainingTriplet]:
-    triplets = []
-    for line_no, line in enumerate(_read_lines(path), start=1):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(path, line_no, f"expected 3 fields, got {len(parts)}")
-        try:
-            triplets.append(TrainingTriplet(*parts))
-        except ValueError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
-    return triplets

@@ -39,15 +39,11 @@ class SignificanceResult:
         return self.alpha / self.n_comparisons
 
 
-def _gain(grade: int, exponential: bool) -> float:
-    return float(2**grade - 1) if exponential else float(grade)
-
-
-def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10, exponential_gain: bool = False) -> MetricResult:
+def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10) -> MetricResult:
     """Mean nDCG@k over queries shared by run and qrels.
 
-    Queries without any positively graded judgment are excluded from the mean.
-    Unjudged documents contribute zero gain.
+    The gain of a document is its grade. Queries without any positively graded
+    judgment are excluded from the mean. Unjudged documents contribute zero gain.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -61,11 +57,9 @@ def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10, exponential_gain: bool = Fals
         ideal = sorted((g for g in grades.values() if g > 0), reverse=True)
         if not ideal:
             continue
-        idcg = sum(
-            _gain(g, exponential_gain) / math.log2(i + 2) for i, g in enumerate(ideal[:k])
-        )
+        idcg = sum(float(g) / math.log2(i + 2) for i, g in enumerate(ideal[:k]))
         dcg = sum(
-            _gain(grades.get(did, 0), exponential_gain) / math.log2(rank + 1)
+            float(grades.get(did, 0)) / math.log2(rank + 1)
             for rank, (did, _) in enumerate(run[qid].entries[:k], start=1)
         )
         per_query[qid] = dcg / idcg

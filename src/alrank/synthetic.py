@@ -1,11 +1,12 @@
 """Deterministic synthetic corpus generator with planted topical relevance.
 
 The noise vocabulary, and each topic's vocabulary, is built once as a numpy
-array and every `rng.choice` draws from that array: given a list, `choice`
-would convert it to a fresh array on every call, which cost most of the
-generator's time. `choice` converts its input before it draws, so the random
-stream, and every document, query and judgment, is the same as drawing from
-the lists; `tests/test_datamodel.py` pins it by digest.
+array: given a list, `rng.choice` would convert it to a fresh array on every
+call. Noise tokens index that array with `rng.integers(0, n, size)`, which
+is the draw `rng.choice(array, size)` makes, without its per-call checks.
+The random stream, and every document, query and judgment, is the same as
+drawing with `choice` from the lists; `tests/test_datamodel.py` pins it by
+digest.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ def generate_synthetic(
     """
     rng = np.random.default_rng(seed)
     noise_vocab = np.array([f"noise{j:04d}" for j in range(spec.noise_vocab_size)])
+    n_noise = len(noise_vocab)
 
     docs: dict[str, str] = {}
     train_queries: dict[str, str] = {}
@@ -94,7 +96,7 @@ def generate_synthetic(
                     extra = str(topic_vocab[int(rng.integers(0, len(topic_vocab)))])
                     if extra not in topic_tokens:
                         topic_tokens.append(extra)
-                noise = rng.choice(noise_vocab, size=spec.doc_noise_tokens).tolist()
+                noise = noise_vocab[rng.integers(0, n_noise, size=spec.doc_noise_tokens)].tolist()
                 tokens = topic_tokens + noise
                 rng.shuffle(tokens)
                 docs[slot] = " ".join(tokens)
@@ -102,7 +104,7 @@ def generate_synthetic(
 
         # remaining slots: pure-noise non-relevant documents
         for slot in free_slots:
-            noise = rng.choice(noise_vocab, size=spec.doc_noise_tokens + 3).tolist()
+            noise = noise_vocab[rng.integers(0, n_noise, size=spec.doc_noise_tokens + 3)].tolist()
             docs[slot] = " ".join(noise)
 
     ordered_docs = {d: docs[d] for d in sorted(docs)}

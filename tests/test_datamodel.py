@@ -17,10 +17,9 @@ from alrank.datamodel import (
     parse_collection,
     parse_qrels,
     parse_run,
-    parse_triplets,
     serialize_run,
-    serialize_triplets,
 )
+from alrank.experiment import make_bundle
 from alrank.synthetic import DESK_SPEC, SyntheticSpec, generate_synthetic
 
 
@@ -159,12 +158,6 @@ class TestIdentifiers:
 
 
 class TestTriplets:
-    def test_round_trip(self, tmp_path):
-        triplets = [TrainingTriplet("q1", "dp", "dn"), TrainingTriplet("q2", "a", "b")]
-        path = tmp_path / "t.tsv"
-        serialize_triplets(triplets, path)
-        assert parse_triplets(path) == triplets
-
     def test_positive_equals_negative_rejected(self):
         with pytest.raises(ValueError, match="positive equals negative"):
             TrainingTriplet("q", "d", "d")
@@ -257,6 +250,24 @@ class TestSynthetic:
             list(train_q.items()),
             list(test_q.items()),
             sorted((qid, did, grade) for (qid, did), grade in qrels.items()),
+        ])
+        assert hashlib.sha256(payload.encode()).hexdigest() == sha256
+
+    # sha256 of make_bundle's BM25 lists (ids, order, float.hex of each score),
+    # recorded when the index was a dict of posting tuples scored doc by doc
+    PINNED_BUNDLES = [
+        (DESK_SPEC, 0, "84f9795b5a32e1bcf41675e43e4ca85e486eb5595588f83c158789d7d84cad5e"),
+        (SyntheticSpec(topics=60), 3,
+         "03af9b9782433fed248aa76bc82a91e4b7018d85927318aaf52a8ff365c52757"),
+    ]
+
+    @pytest.mark.parametrize("spec, seed, sha256", PINNED_BUNDLES)
+    def test_bundle_pinned(self, spec, seed, sha256):
+        bundle = make_bundle(*generate_synthetic(spec, seed))
+        payload = json.dumps([
+            [[qid, [[did, score.hex()] for did, score in ranked.entries]]
+             for qid, ranked in run.rankings.items()]
+            for run in (bundle.candidates, bundle.negatives, bundle.test_candidates)
         ])
         assert hashlib.sha256(payload.encode()).hexdigest() == sha256
 

@@ -62,12 +62,6 @@ class TestNdcg:
         result = ndcg_at_k(single_run(["x1", "x2", "a"]), qrels, k=2)
         assert result.per_query["q1"] == 0.0
 
-    def test_exponential_gain(self):
-        qrels = Qrels({("q1", "a"): 1, ("q1", "b"): 2})
-        result = ndcg_at_k(single_run(["a", "b"]), qrels, exponential_gain=True)
-        expected = (1 + 3 / math.log2(3)) / (3 + 1 / math.log2(3))
-        assert result.per_query["q1"] == pytest.approx(expected, abs=1e-12)
-
     def test_no_positive_judgments_excluded_from_mean(self):
         qrels = Qrels({("q1", "a"): 1, ("q2", "b"): 0})
         run = Run("t", {

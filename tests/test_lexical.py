@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -31,6 +32,54 @@ def brute_force_bm25(corpus: Corpus, query: str, k1=0.9, b=0.4) -> dict[str, flo
     return scores
 
 
+def oracle_retrieve_topk(corpus: Corpus, query: str, k: int, k1=0.9, b=0.4) -> list:
+    """Reference BM25 top-k: a dict-of-postings index and a per-document
+    accumulation loop. retrieve_topk must return the same entries, bit for bit."""
+    doc_ids = corpus.ids()
+    postings: dict[str, list[tuple[int, int]]] = {}
+    doc_lengths: list[int] = []
+    for ordinal, doc_id in enumerate(doc_ids):
+        tokens = tokenize(corpus[doc_id])
+        doc_lengths.append(len(tokens))
+        counts: dict[str, int] = {}
+        for t in tokens:
+            counts[t] = counts.get(t, 0) + 1
+        for term, tf in counts.items():
+            postings.setdefault(term, []).append((ordinal, tf))
+    n_docs = len(doc_ids)
+    avgdl = sum(doc_lengths) / len(doc_lengths)
+    terms = tokenize(query)
+    if avgdl == 0.0 or not terms:
+        return []
+    accum: dict[int, float] = {}
+    term_counts: dict[str, int] = {}
+    for t in terms:
+        term_counts[t] = term_counts.get(t, 0) + 1
+    for term, q_count in term_counts.items():
+        plist = postings.get(term)
+        if not plist:
+            continue
+        df = len(plist)
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        for ordinal, tf in plist:
+            dl = doc_lengths[ordinal]
+            norm = k1 * (1.0 - b + b * dl / avgdl)
+            contrib = idf * tf * (k1 + 1.0) / (tf + norm)
+            accum[ordinal] = accum.get(ordinal, 0.0) + q_count * contrib
+    scored = [(doc_ids[ordinal], s) for ordinal, s in accum.items() if s > 0.0]
+    scored.sort(key=lambda e: (-e[1], e[0]))
+    return scored[:k]
+
+
+def posting_data(index) -> tuple:
+    """Every posting of an index, in order: term, doc ordinals, tf, contributions."""
+    postings = [
+        (term, docs.tolist(), tf.tolist(), contrib.tolist())
+        for term, (docs, tf, contrib) in index.postings.items()
+    ]
+    return postings, index.doc_lengths
+
+
 def bm25_scores(index, query: str) -> dict[str, float]:
     """The BM25 score of every document retrieve_topk returns for `query`."""
     return dict(retrieve_topk(index, query, index.n_docs).entries)
@@ -54,13 +103,14 @@ class TestBuildIndex:
     def test_counting(self, small_corpus):
         index = build_index(small_corpus)
         assert index.n_docs == 2
-        assert index.df["apple"] == 2
-        assert index.df["banana"] == 1
+        postings, _ = posting_data(index)
+        # (term, docs, tf): df of apple is 2, of banana 1
+        assert [p[:3] for p in postings] == [("apple", [0, 1], [1, 1]), ("banana", [0], [1])]
         assert index.avgdl == 1.5
 
     def test_deterministic_rebuild(self, small_corpus):
         a, b = build_index(small_corpus), build_index(small_corpus)
-        assert a.postings == b.postings and a.doc_lengths == b.doc_lengths
+        assert posting_data(a) == posting_data(b)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
@@ -159,13 +209,38 @@ def test_retrieval_equals_brute_force_property(docs, query, k):
         assert a == pytest.approx(b, rel=1e-9)
 
 
+@st.composite
+def oracle_cases(draw):
+    """Corpora with duplicate docs (score ties), token-less docs and ids whose
+    sorted order differs from corpus order; queries with repeated and unknown
+    terms; k below and above the hit count."""
+    texts = draw(st.lists(st.one_of(doc_texts, st.sampled_from(["", "-- !", "_"])),
+                          min_size=1, max_size=25))
+    texts += draw(st.lists(st.sampled_from(texts), max_size=8))
+    names = draw(st.permutations(range(len(texts))))
+    corpus = Corpus({f"d{n:03d}": text for n, text in zip(names, texts)}, permissive=True)
+    query = " ".join(draw(st.lists(st.one_of(words, st.just("durian")), min_size=1, max_size=6)))
+    return corpus, query, draw(st.integers(1, len(texts) + 2))
+
+
+@given(case=oracle_cases(), k1=st.sampled_from([0.0, 0.9, 1.2]), b=st.sampled_from([0.0, 0.4, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_retrieval_matches_dict_loop_oracle(case, k1, b):
+    corpus, query, k = case
+    got = retrieve_topk(build_index(corpus, k1=k1, b=b), query, k, query_id="q1")
+    expected = oracle_retrieve_topk(corpus, query, k, k1=k1, b=b)
+    assert got.query_id == "q1"
+    assert [(d, s.hex()) for d, s in got.entries] == [(d, s.hex()) for d, s in expected]
+    assert all(type(s) is float for _, s in got.entries)
+
+
 class TestIndexPersistence:
     def test_round_trip(self, small_corpus, tmp_path):
         index = build_index(small_corpus)
         path = tmp_path / "index.json"
         save_index(index, path)
         loaded = load_index(path)
-        assert loaded.postings == index.postings
+        assert posting_data(loaded) == posting_data(index)
         assert loaded.doc_ids == index.doc_ids
         assert loaded.avgdl == index.avgdl
         assert retrieve_topk(loaded, "apple banana", 5) == retrieve_topk(index, "apple banana", 5)
@@ -175,3 +250,48 @@ class TestIndexPersistence:
         path.write_text('{"format_version": 99}')
         with pytest.raises(ValueError, match="version"):
             load_index(path)
+
+
+class TestLoadIndexRejects:
+    """A saved index that does not describe its corpus fails at load time."""
+
+    @staticmethod
+    def saved(small_corpus, tmp_path, edit):
+        path = tmp_path / "index.json"
+        save_index(build_index(small_corpus), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    def check(self, small_corpus, tmp_path, edit, field):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            load_index(self.saved(small_corpus, tmp_path, edit))
+
+    def test_unedited_file_loads(self, small_corpus, tmp_path):
+        load_index(self.saved(small_corpus, tmp_path, lambda payload: None))
+
+    def test_negative_ordinal(self, small_corpus, tmp_path):
+        # used to score the last document
+        self.check(small_corpus, tmp_path,
+                   lambda p: p["postings"]["apple"][0].__setitem__(0, -1), "postings")
+
+    def test_ordinal_out_of_range(self, small_corpus, tmp_path):
+        self.check(small_corpus, tmp_path,
+                   lambda p: p["postings"]["banana"][0].__setitem__(0, 2), "postings")
+
+    def test_doc_lengths_shorter_than_doc_ids(self, small_corpus, tmp_path):
+        self.check(small_corpus, tmp_path, lambda p: p["doc_lengths"].pop(), "doc_lengths")
+
+    def test_duplicate_posting(self, small_corpus, tmp_path):
+        # used to double the term's df
+        self.check(small_corpus, tmp_path,
+                   lambda p: p["postings"]["apple"].append([0, 1]), "postings")
+
+    def test_zero_tf(self, small_corpus, tmp_path):
+        self.check(small_corpus, tmp_path,
+                   lambda p: p["postings"]["banana"][0].__setitem__(1, 0), "postings")
+
+    def test_lengths_disagree_with_postings(self, small_corpus, tmp_path):
+        self.check(small_corpus, tmp_path,
+                   lambda p: p["doc_lengths"].__setitem__(0, 5), "doc_lengths")
