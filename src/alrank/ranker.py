@@ -27,23 +27,30 @@ Scoring has one path, `Ranker.score_batch`: one query against a list of
 documents. `score`, `rerank`, `mean_loss`, uncertainty and QBC selection and
 evaluation all go through it. Cross computes one `w[idx].dot(vals)` per
 distinct signature of the list's plan and gathers the documents' scores from
-those; bi and maxsim score each document with its own dot product or small
-matmul, as one `score` call did before. A 1-D `a.dot(b)` is the same `ddot`
-call as `a @ b`, with less dispatch. The dot products stay separate: one big
-matmul, a sum or `np.add.reduceat` over all of them would change the last
-bit of some scores (for n < 16 OpenBLAS's `ddot` accumulates by fused
-multiply-add, which a plain sequential sum does not reproduce).
+those; bi scores each document with its own dot product. Maxsim scores each
+chunk of equal-length documents (`_GROUP_FLOATS // (n * dim)` of n tokens)
+with one `np.matmul(eq, D.transpose(0, 2, 1))`, in which numpy makes one BLAS
+call per document with the shape and layout of the one-document
+`eq @ emb[db].T`, so each score keeps its bits. A 1-D `a.dot(b)` is the same
+`ddot` call as `a @ b`, with less dispatch. One product per document stays: a
+`(|q|, buckets)` table gathered by column, one big matmul, a sum or
+`np.add.reduceat` over several would change the last bit of some scores
+(OpenBLAS's result depends on the product's shape and a column's position;
+for n < 16 its `ddot` accumulates by fused multiply-add).
 
 Training computes one gradient per mini-batch (`_batch_gradient`): per
 triplet only the score operations and the scalar `ranknet_gradient` run, and
 the batch's gradient terms are assembled at once. Each term is keyed by
 (triplet, row), each key's terms are summed in term order, which gives the
 triplet's own gradient at that row, and those sums go into the batch gradient
-in triplet order (`_ordered_add`). So each touched row receives the same float
-additions in the same order as a dense per-triplet gradient summed into a
-dense batch gradient, and the SGD update rewrites only the touched rows (an
-untouched one would only see `+ 0.0` and `- 0.0`): the trained weights are
-bit-identical to the dense algorithm's.
+in triplet order (`_ordered_add`). Maxsim sorts its keys once (stably) and
+builds its wide term rows only as it adds them; a key's sum starts from its
+first term, not 0.0, which differs only as -0.0 for 0.0 and adds the same
+into the batch gradient, whose entries are never -0.0. So each touched row
+receives the same float additions in the same order as a dense per-triplet
+gradient summed into a dense batch gradient, and the SGD update rewrites
+only the touched rows (an untouched one would only see `+ 0.0` and `- 0.0`):
+the trained weights are bit-identical to the dense algorithm's.
 
 Cross-scorer feature map (hashed into `dim` signed buckets):
   - per distinct query term t with count c: key ``q|t``, value c / |q|
@@ -72,7 +79,8 @@ ARCHITECTURES = ("cross", "bi", "maxsim")
 CHECKPOINT_MAGIC = b"ALRK"
 CHECKPOINT_VERSION = 1
 # floats of each (terms, width) temporary of one group of triplets in a
-# training step: 512 KB stays in cache; a cross batch fits in one group
+# training step, or of docs in max-sim scoring: 512 KB stays in cache; a
+# cross batch fits in one group
 _GROUP_FLOATS = 2**16
 
 
@@ -189,6 +197,15 @@ class _Triplet(NamedTuple):
     size: int  # the number of rows of its gradient terms (see `_batch_gradient`)
 
 
+def _occurrences(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted keys: whether each is its key's first, and its occurrence
+    rank among its key's entries (0 for the first)."""
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    position = np.arange(ranked.size)
+    return first, position - np.maximum.accumulate(np.where(first, position, 0))
+
+
 def _ordered_add(target: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
     """`np.add.at(target, index, values)`, bit for bit: the values of each
     index are added to its row one at a time, in order.
@@ -202,10 +219,7 @@ def _ordered_add(target: np.ndarray, index: np.ndarray, values: np.ndarray) -> N
         return
     order = np.argsort(index, kind="stable")
     ranked = index[order]
-    first = np.ones(index.size, dtype=bool)
-    first[1:] = ranked[1:] != ranked[:-1]
-    position = np.arange(index.size)
-    rank = position - np.maximum.accumulate(np.where(first, position, 0))
+    _, rank = _occurrences(ranked)
     for r in range(rank.max() + 1):
         at = rank == r
         target[ranked[at]] += values[order[at]]
@@ -363,15 +377,26 @@ class Ranker:
             return scores
         emb = state.arrays["emb"]
         eq = emb[qb]
-        vq = eq.mean(axis=0) if arch == "bi" else None
-        for k, doc_text in enumerate(doc_texts):
-            db = self._buckets(doc_text)
-            if db.size == 0:
-                continue
-            if arch == "bi":
-                scores[k] = vq.dot(emb[db].mean(axis=0))
-            else:
-                scores[k] = (eq @ emb[db].T).max(axis=1).sum()
+        if arch == "bi":
+            vq = eq.mean(axis=0)
+            for k, doc_text in enumerate(doc_texts):
+                db = self._buckets(doc_text)
+                if db.size:
+                    scores[k] = vq.dot(emb[db].mean(axis=0))
+            return scores
+        # maxsim: docs grouped by token count, each group scored in chunks of
+        # one stacked matmul (token-less docs keep 0)
+        groups: dict[int, list[int]] = {}
+        buckets = [self._buckets(doc_text) for doc_text in doc_texts]
+        for k, db in enumerate(buckets):
+            if db.size:
+                groups.setdefault(db.size, []).append(k)
+        for n, members in groups.items():
+            per_chunk = max(1, _GROUP_FLOATS // (n * emb.shape[1]))
+            for a in range(0, len(members), per_chunk):
+                chunk = members[a : a + per_chunk]
+                docs = emb[np.concatenate([buckets[k] for k in chunk])].reshape(len(chunk), n, -1)
+                scores[chunk] = np.matmul(eq, docs.transpose(0, 2, 1)).max(axis=2).sum(axis=1)
         return scores
 
     def encode_query(self, state: RankerState, query_text: str) -> np.ndarray:
@@ -509,17 +534,30 @@ class Ranker:
             if not factors:
                 continue
             counts = [r.size for r in rows]
-            if arch == "cross":
-                values = np.repeat(factors, counts) * np.concatenate(sources)
-            elif arch == "bi":
-                n = np.array(counts)
-                values = np.repeat(np.array(factors)[:, None] * np.array(sources) / n[:, None], n, axis=0)
-            else:
-                values = np.repeat(factors, counts)[:, None] * weights[np.concatenate(sources)]
             position = np.repeat(np.arange(len(group)), [t.size for t in group])
-            keys, inverse = np.unique(position * n_rows + np.concatenate(rows), return_inverse=True)
-            sums = np.zeros((keys.size,) + weights.shape[1:])
-            _ordered_add(sums, inverse, values)
+            keys = position * n_rows + np.concatenate(rows)
+            if arch == "maxsim":
+                # keys sorted once; each rank's weight rows built as added
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+                first, rank = _occurrences(keys)
+                slot = np.cumsum(first) - 1  # each sorted term's key
+                keys = keys[first]
+                factor = np.repeat(factors, counts)[order]
+                source = np.concatenate(sources)[order]
+                sums = factor[first, None] * weights[source[first]]
+                for r in range(1, rank.max() + 1):
+                    at = rank == r
+                    sums[slot[at]] += factor[at, None] * weights[source[at]]
+            else:
+                if arch == "cross":
+                    values = np.repeat(factors, counts) * np.concatenate(sources)
+                else:
+                    n = np.array(counts)
+                    values = np.repeat(np.array(factors)[:, None] * np.array(sources) / n[:, None], n, axis=0)
+                keys, inverse = np.unique(keys, return_inverse=True)
+                sums = np.zeros((keys.size,) + weights.shape[1:])
+                _ordered_add(sums, inverse, values)
             touched.append(keys % n_rows)
             _ordered_add(grads, touched[-1], sums)
         return scores, touched

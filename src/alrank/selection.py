@@ -69,34 +69,48 @@ def select_uncertainty(
 ) -> list[tuple[str, str, float]]:
     """Pairs whose ranker score is closest to the global mean over all top-depth scores.
 
-    Returns (query id, doc id, |score - mean|) triples, most uncertain first.
+    Returns (query id, doc id, |score - mean|) triples, most uncertain first:
+    ordered by (distance, query id, doc id).
     """
-    scored: list[tuple[str, str, float]] = []
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    qids: list[str] = []
+    dids: list[str] = []
+    parts = []
     for qid in pool:
         if qid not in bm25_run:
             continue
         doc_ids = bm25_run[qid].top(depth).doc_ids()
-        scores = ranker.score_batch(state, queries[qid], [corpus[did] for did in doc_ids])
-        scored.extend((qid, did, score) for did, score in zip(doc_ids, scores.tolist()))
-    if not scored:
+        parts.append(ranker.score_batch(state, queries[qid], [corpus[did] for did in doc_ids]))
+        qids += [qid] * len(doc_ids)
+        dids += doc_ids
+    if not qids:
         raise ValueError("no candidates available for uncertainty selection")
-    mean = sum(score for _, _, score in scored) / len(scored)
-    ranked = sorted(
-        ((qid, did, abs(score - mean)) for qid, did, score in scored),
-        key=lambda e: (e[2], e[0], e[1]),
-    )
-    if not one_pair_per_query:
-        return ranked[:s]
+    scores = np.concatenate(parts)
+    # the sum of a left-to-right loop from 0.0: Python's sum() compensates its
+    # additions from 3.12 on, and np.sum adds pairwise
+    mean = float(np.cumsum(np.concatenate(([0.0], scores)))[-1]) / scores.size
+    dist = np.abs(scores - mean)
+    order = np.lexsort((_string_ranks(dids), _string_ranks(qids), dist)).tolist()
+    dist_list = dist.tolist()
     out = []
     seen_queries: set[str] = set()
-    for qid, did, dist in ranked:
-        if qid in seen_queries:
-            continue
-        seen_queries.add(qid)
-        out.append((qid, did, dist))
+    for i in order:
+        if one_pair_per_query:
+            if qids[i] in seen_queries:
+                continue
+            seen_queries.add(qids[i])
+        out.append((qids[i], dids[i], dist_list[i]))
         if len(out) == s:
             break
     return out
+
+
+def _string_ranks(strings: list[str]) -> np.ndarray:
+    """Each string's rank in sorted order of the distinct strings (equal
+    strings share a rank), for `np.lexsort` keys."""
+    rank = {v: r for r, v in enumerate(sorted(set(strings)))}
+    return np.fromiter(map(rank.__getitem__, strings), dtype=np.intp, count=len(strings))
 
 
 def vote_entropy(member_rankings: list[RankedList], pair_depth: int | None = None) -> float:
@@ -150,6 +164,8 @@ def select_qbc(
     """
     if len(committee) < 2:
         raise ValueError("QBC requires a committee of at least 2")
+    if pair_depth is not None and pair_depth < 2:
+        raise ValueError("pair depth must be >= 2")
     entropies: list[tuple[str, float]] = []
     unscored: list[tuple[str, float]] = []
     for qid in pool:

@@ -651,6 +651,53 @@ class TestScoreBatchExactness:
         assert ranker.mean_loss(state, triplets, corpus, query_set) == sum(losses) / len(losses)
 
 
+class TestMaxSimStackedScoring:
+    """Max-sim scores a list in stacked matmuls, one per chunk of docs of equal
+    token count; at desk width (512 dims, 512 buckets) each score keeps the
+    bytes of the one-document matmul."""
+
+    @staticmethod
+    def _texts():
+        rng = np.random.default_rng(21)
+        words = [f"w{i}" for i in range(3000)]
+
+        def text(n):
+            return " ".join(rng.choice(words, size=n))
+
+        # mixed lengths, a run of 20 equal lengths (several chunks), |d| = 1
+        # (numpy's matrix-vector case) and token-less docs between them
+        docs = [text(int(n)) for n in rng.integers(1, 40, size=40)]
+        docs += [text(16) for _ in range(20)] + [text(1) for _ in range(3)]
+        docs[5:5] = ["", "?! ..."]
+        docs.insert(30, "--")
+        # |q| = 1 (vector-matrix, and with |d| = 1 a dot), up to 11 tokens
+        queries = [text(n) for n in (1, 2, 3, 5, 11)]
+        return queries, docs
+
+    def _check(self, ranker, state):
+        queries, docs = self._texts()
+        for q in queries:
+            want = np.array([_oracle_score(ranker, state, q, d) for d in docs])
+            assert _same_bytes(ranker.score_batch(state, q, docs), want), q
+            assert _same_bytes(ranker.score_batch(state, q, docs[-1:]), want[-1:]), q
+        assert _same_bytes(ranker.score_batch(state, "...", docs), np.zeros(len(docs)))
+
+    def test_equals_per_document_scores_bytes(self):
+        ranker = small_ranker("maxsim", dim=512, buckets=512)
+        state = ranker.init_state(5)
+        self._check(ranker, state)
+        trained = state.copy()
+        trained.arrays["emb"] *= np.random.default_rng(1).normal(size=trained.arrays["emb"].shape)
+        self._check(ranker, trained)
+
+    @pytest.mark.parametrize("group_floats", [1, 3 * 16 * 512])
+    def test_chunk_boundaries(self, group_floats, monkeypatch):
+        """One doc per chunk, and 3 docs of 16 tokens per chunk (48 of 1)."""
+        monkeypatch.setattr(ranker_module, "_GROUP_FLOATS", group_floats)
+        ranker = small_ranker("maxsim", dim=512, buckets=512)
+        self._check(ranker, ranker.init_state(8))
+
+
 class TestCrossPlan:
     """The cross model scores a list from a plan made on its first scoring:
     one feature vector per distinct signature (count of each query term)."""

@@ -263,6 +263,40 @@ class TestSelectUncertainty:
         with pytest.raises(ValueError, match="no candidates"):
             select_uncertainty(None, None, ["q1"], queries, Run("t", {}), corpus, 5, 1)
 
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_rejects_s_below_one(self, s):
+        corpus = Corpus({"d1": "a"})
+        queries = QuerySet({"q1": "t"})
+        run = Run("t", {"q1": RankedList("q1", [("d1", 1.0)])})
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            select_uncertainty(None, None, ["q1"], queries, run, corpus, 5, s)
+
+    def test_mean_is_a_left_to_right_sum(self):
+        """The mean is the sum of a plain loop from 0.0, on every Python:
+        sum() compensates its additions from 3.12 on, which gives 1.0 here
+        instead of 0.0."""
+        values = {"a": 1e16, "b": 1.0, "c": -1e16}
+
+        class Scripted:
+            def score_batch(self, state, q, docs):
+                return np.array([values[d] for d in docs])
+
+        corpus = Corpus({"d1": "a", "d2": "b", "d3": "c"})
+        queries = QuerySet({"q1": "t"})
+        run = Run("t", {"q1": RankedList("q1", [("d1", 3.0), ("d2", 2.0), ("d3", 1.0)])})
+        out = select_uncertainty(Scripted(), None, ["q1"], queries, run, corpus, 10, 3)
+        total = 0.0
+        for score in values.values():
+            total += score
+        mean = total / 3
+        assert mean == 0.0
+        want = sorted(
+            (("q1", did, abs(values[text] - mean)) for did, text in corpus.items()),
+            key=lambda e: (e[2], e[0], e[1]),
+        )
+        assert out == want
+        assert out[0] == ("q1", "d2", 1.0)
+
 
 class TestVoteEntropy:
     def test_full_agreement_zero(self):
@@ -419,6 +453,105 @@ class TestSelectQbc:
         ranker = Ranker(RankerConfig(architecture="cross", dim=16))
         with pytest.raises(ValueError, match="at least 2"):
             select_qbc(ranker, [ranker.init_state(0)], queries.ids(), queries, run, corpus, 6, 3)
+
+    def test_pair_depth_validation(self):
+        corpus, queries, run = self._fixture()
+        ranker = Ranker(RankerConfig(architecture="cross", dim=16))
+        committee = [ranker.init_state(1), ranker.init_state(2)]
+        with pytest.raises(ValueError, match="pair depth must be >= 2"):
+            select_qbc(ranker, committee, queries.ids(), queries, run, corpus, 6, 3, pair_depth=1)
+
+
+class _ScriptedRanker(Ranker):
+    """A Ranker whose member "state" is its list of scores, one per candidate."""
+
+    def __init__(self):
+        super().__init__(RankerConfig(architecture="cross", dim=4))
+
+    def score_batch(self, state, query_text, doc_texts):
+        assert len(state) == len(doc_texts)
+        return np.array(state, dtype=float)
+
+
+# few distinct values, so members tie often; 0.0 and -0.0 tie too
+_tied_scores = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
+
+
+@given(members=st.integers(2, 4), n=st.integers(2, 12), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_qbc_equals_oracle_over_reranks(members, n, data):
+    """select_qbc gives the vote entropy of the members' Ranker.rerank lists,
+    bit for bit: ties (0.0 with -0.0 included) broken by doc id, whose string
+    order differs from the candidates' order."""
+    doc_ids = data.draw(st.permutations([f"d{i}" for i in range(n)]))
+    committee = [data.draw(st.lists(_tied_scores, min_size=n, max_size=n)) for _ in range(members)]
+    pair_depth = data.draw(st.none() | st.integers(2, n))
+    corpus = Corpus({did: "x" for did in doc_ids})
+    candidates = RankedList("q", [(did, float(n - k)) for k, did in enumerate(doc_ids)])
+    ranker = _ScriptedRanker()
+    [(_, got)] = select_qbc(ranker, committee, ["q"], QuerySet({"q": "t"}),
+                            Run("bm25", {"q": candidates}), corpus, n, 1, pair_depth=pair_depth)
+    rankings = [ranker.rerank(member, "t", candidates, corpus) for member in committee]
+    want = oracle_vote_entropy(rankings, pair_depth)
+    assert got == want and math.copysign(1, got) == math.copysign(1, want)
+    public = vote_entropy(rankings, pair_depth)
+    assert public == want and math.copysign(1, public) == math.copysign(1, want)
+
+
+class TestPicksEqualRerankBruteForce:
+    """Uncertainty and QBC picks on a generated bundle equal a brute force
+    over `Ranker.rerank` lists."""
+
+    DEPTH = 12
+
+    @pytest.mark.parametrize("arch", ["cross", "maxsim"])
+    @pytest.mark.parametrize("one_pair_per_query", [False, True])
+    def test_uncertainty(self, tiny_bundle, arch, one_pair_per_query):
+        ranker = Ranker(RankerConfig(architecture=arch, dim=32, hash_buckets=64))
+        state = ranker.init_state(4)
+        b = tiny_bundle
+        pool = b.train_queries.ids()
+        scored = []
+        for qid in pool:
+            candidates = b.candidates[qid].top(self.DEPTH)
+            if len(candidates):
+                reranked = ranker.rerank(state, b.train_queries[qid], candidates, b.corpus)
+                score = dict(reranked.entries)
+                # in candidate order, which the mean's additions follow
+                scored += [(qid, did, score[did]) for did in candidates.doc_ids()]
+        total = 0.0
+        for _, _, score in scored:
+            total += score
+        mean = total / len(scored)
+        ranked = sorted(((q, d, abs(s - mean)) for q, d, s in scored),
+                        key=lambda e: (e[2], e[0], e[1]))
+        if one_pair_per_query:
+            ranked = [e for k, e in enumerate(ranked)
+                      if e[0] not in {f[0] for f in ranked[:k]}]
+        got = select_uncertainty(ranker, state, pool, b.train_queries, b.candidates, b.corpus,
+                                 self.DEPTH, 9, one_pair_per_query=one_pair_per_query)
+        assert got == ranked[:9]
+
+    @pytest.mark.parametrize("arch", ["cross", "maxsim"])
+    @pytest.mark.parametrize("pair_depth", [None, 4])
+    def test_qbc(self, tiny_bundle, arch, pair_depth):
+        ranker = Ranker(RankerConfig(architecture=arch, dim=32, hash_buckets=64))
+        committee = [ranker.init_state(seed) for seed in (1, 2, 3)]
+        b = tiny_bundle
+        pool = b.train_queries.ids()
+        scored, unscored = [], []
+        for qid in pool:
+            candidates = b.candidates[qid].top(self.DEPTH)
+            if len(candidates) < 2:
+                unscored.append((qid, 0.0))
+                continue
+            rankings = [ranker.rerank(m, b.train_queries[qid], candidates, b.corpus)
+                        for m in committee]
+            scored.append((qid, oracle_vote_entropy(rankings, pair_depth)))
+        want = (sorted(scored, key=lambda e: (-e[1], e[0])) + sorted(unscored))[:9]
+        got = select_qbc(ranker, committee, pool, b.train_queries, b.candidates, b.corpus,
+                         self.DEPTH, 9, pair_depth=pair_depth)
+        assert got == want
 
 
 class TestKmeans:
