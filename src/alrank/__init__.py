@@ -1,6 +1,6 @@
 """Budget-aware active-learning harness for trainable rankers."""
 
-from .budget import CostConfig, CostReport, TimeLedger, annotation_cost, compute_cost, total_cost
+from .budget import CostConfig, CostReport, annotation_cost, compute_cost, total_cost
 from .datamodel import (
     Corpus,
     Qrels,

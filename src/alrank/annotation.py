@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Qrels, RankedList, TrainingTriplet
+from .datamodel import Qrels, RankedList, TrainingTriplet, write_csv
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,10 @@ def annotate_pair(
     return TrainingTriplet(query_id, positive, selected_doc), 1 + rank
 
 
+# assessments.csv's header: the AnnotationRecord fields, in order
+LEDGER_COLUMNS = [f.name for f in fields(AnnotationRecord)]
+
+
 @dataclass
 class AssessmentLedger:
     """Per-iteration assessment counts with cumulative totals A(i)."""
@@ -125,9 +129,6 @@ class AssessmentLedger:
 
     def cumulative(self, iteration: int) -> int:
         return sum(c for i, c in self.per_iteration.items() if i <= iteration)
-
-    def total(self) -> int:
-        return sum(self.per_iteration.values())
 
     def update(self, iteration: int, results: list[AnnotationRecord]) -> None:
         if self.per_iteration and iteration <= max(self.per_iteration):
@@ -144,21 +145,17 @@ class AssessmentLedger:
         self.records.extend(results)
 
     def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["iteration", "query_id", "outcome", "assessments", "positive_id", "negative_id"]
-            )
-            for r in self.records:
-                writer.writerow(
-                    [r.iteration, r.query_id, r.outcome, r.assessments, r.positive_id, r.negative_id]
-                )
+        write_csv(path, LEDGER_COLUMNS, map(astuple, self.records))
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "AssessmentLedger":
         ledger = cls()
         with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            missing = [c for c in LEDGER_COLUMNS if c not in (reader.fieldnames or [])]
+            if missing:
+                raise ValueError(f"{path}: assessment ledger lacks columns {', '.join(missing)}")
+            rows = list(reader)
         by_iteration: dict[int, list[AnnotationRecord]] = {}
         for row in rows:
             rec = AnnotationRecord(

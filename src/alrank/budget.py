@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import astuple, dataclass
 from pathlib import Path
+
+from .datamodel import write_csv
 
 
 @dataclass(frozen=True)
@@ -30,28 +32,6 @@ class CostConfig:
             raise ValueError("selection_hours_per_iteration must be >= 0")
 
 
-@dataclass
-class TimeLedger:
-    """Per-iteration training hours (accelerator meter) and selection hours."""
-
-    training_hours: dict[int, float] = field(default_factory=dict)
-    selection_hours: dict[int, float] = field(default_factory=dict)
-
-    def record(self, iteration: int, training: float, selection: float) -> None:
-        if training < 0 or selection < 0:
-            raise ValueError("hours must be >= 0")
-        self.training_hours[iteration] = training
-        self.selection_hours[iteration] = selection
-
-    def cumulative_training(self, iteration: int) -> float:
-        return sum(h for i, h in self.training_hours.items() if i <= iteration)
-
-    def mean_selection(self) -> float:
-        if not self.selection_hours:
-            return 0.0
-        return sum(self.selection_hours.values()) / len(self.selection_hours)
-
-
 @dataclass(frozen=True)
 class CostRow:
     iteration: int
@@ -66,13 +46,8 @@ class CostReport:
     rows: list[CostRow]
 
     def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "assessments", "C_A", "C_C", "C_total"])
-            for r in self.rows:
-                writer.writerow(
-                    [r.iteration, r.assessments, repr(r.annotation_cost), repr(r.compute_cost), repr(r.total)]
-                )
+        header = ["iteration", "assessments", "C_A", "C_C", "C_total"]
+        write_csv(path, header, map(astuple, self.rows))
 
 
 def annotation_cost(assessments: int, config: CostConfig) -> float:
@@ -82,71 +57,36 @@ def annotation_cost(assessments: int, config: CostConfig) -> float:
     return (assessments / config.assessments_per_hour) * config.annotator_cost_per_hour
 
 
-def compute_cost(
-    gpu_hours: float, iteration: int, config: CostConfig, selection_hours: float | None = None
-) -> float:
+def compute_cost(gpu_hours: float, iteration: int, config: CostConfig) -> float:
     """Cumulative compute spend: training on the accelerator meter plus
-    per-iteration selection on the CPU meter (no selection before iteration 2)."""
+    `selection_hours_per_iteration` on the CPU meter from iteration 2 on."""
     if iteration < 1:
         raise ValueError("iteration must be >= 1")
-    h_cpu = (
-        config.selection_hours_per_iteration if selection_hours is None else selection_hours
-    )
-    return gpu_hours * config.gpu_cost_per_hour + h_cpu * config.cpu_cost_per_hour * (
-        iteration - 1
-    )
+    selection = config.selection_hours_per_iteration * config.cpu_cost_per_hour * (iteration - 1)
+    return gpu_hours * config.gpu_cost_per_hour + selection
 
 
 def total_cost(
-    assessment_totals: dict[int, int],
-    time_ledger: TimeLedger,
-    config: CostConfig,
-    measured_selection: bool = False,
+    assessment_totals: dict[int, int], training_hours: dict[int, float], config: CostConfig
 ) -> CostReport:
-    """Per-iteration cost rows from cumulative assessment and time ledgers.
+    """Per-iteration cost rows from `{iteration: cumulative A(i)}` and
+    `{iteration: training hours of that iteration}`.
 
-    `assessment_totals` maps iteration -> cumulative A(i). With
-    `measured_selection`, the mean measured selection time replaces the
-    configured per-iteration constant.
+    The training hours are summed left to right in iteration order, the bits
+    of Python 3.11's sum() on every version.
     """
     iterations = sorted(assessment_totals)
-    if time_ledger.training_hours and sorted(time_ledger.training_hours) != iterations:
+    if sorted(training_hours) != iterations:
         raise ValueError(
-            f"time ledger iterations {sorted(time_ledger.training_hours)} do not "
+            f"training hours iterations {sorted(training_hours)} do not "
             f"match assessment iterations {iterations}"
         )
-    selection_hours = time_ledger.mean_selection() if measured_selection else None
-    rows = []
+    rows, hours = [], 0.0
     for i in iterations:
+        if not (math.isfinite(training_hours[i]) and training_hours[i] >= 0):
+            raise ValueError(f"hours must be finite and >= 0, got {training_hours[i]!r}")
+        hours += training_hours[i]
         c_a = annotation_cost(assessment_totals[i], config)
-        c_c = compute_cost(time_ledger.cumulative_training(i), i, config, selection_hours)
-        rows.append(
-            CostRow(
-                iteration=i,
-                assessments=assessment_totals[i],
-                annotation_cost=c_a,
-                compute_cost=c_c,
-                total=c_a + c_c,
-            )
-        )
+        c_c = compute_cost(hours, i, config)
+        rows.append(CostRow(i, assessment_totals[i], c_a, c_c, c_a + c_c))
     return CostReport(rows)
-
-
-def load_cost_config(path: str | Path) -> CostConfig:
-    """Read a flat key=value or JSON-style cost config file."""
-    import json
-
-    text = Path(path).read_text(encoding="utf-8").strip()
-    if text.startswith("{"):
-        data = json.loads(text)
-    else:
-        data = {}
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            data[key.strip()] = float(value.strip())
-    return CostConfig(**data)

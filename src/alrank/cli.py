@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import datamodel, lexical, synthetic
 from .annotation import AssessmentLedger
-from .budget import CostConfig, TimeLedger, annotation_cost, load_cost_config, total_cost
+from .budget import CostConfig, annotation_cost, total_cost
 from .evaluation import emit_reports
 from .experiment import (
     DataBundle,
@@ -36,45 +36,50 @@ DESK_PROFILE = {
 }
 
 
+# the dataclass behind each part of ExperimentConfig that flat keys fill
+_PARTS = {"ranker": RankerConfig, "selection": SelectionConfig, "cost": CostConfig}
+
+
+def _field(key: str):
+    """(part, field) of a flat config key; part None for ExperimentConfig's own fields."""
+    for part, cls in (*_PARTS.items(), (None, ExperimentConfig)):
+        for f in fields(cls):
+            if f.name == key and key not in _PARTS:
+                return part, f
+    raise ValueError(f"unknown config key {key!r}")
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a flat key-value mapping."""
-    data = dict(data)
-    ranker_keys = {f.name for f in fields(RankerConfig)}
-    selection_keys = {f.name for f in fields(SelectionConfig)}
-    cost_keys = {f.name for f in fields(CostConfig)}
-    exp_keys = {f.name for f in fields(ExperimentConfig)} - {"ranker", "selection", "cost"}
-
-    ranker_args, selection_args, cost_args, exp_args = {}, {}, {}, {}
+    parts: dict[str, dict] = {part: {} for part in _PARTS}
+    exp_args = {}
     for key, value in data.items():
-        if key in ranker_keys:
-            ranker_args[key] = value
-        elif key in selection_keys:
-            selection_args[key] = value
-        elif key in cost_keys:
-            cost_args[key] = value
-        elif key in exp_keys:
+        part, _ = _field(key)
+        if part is not None:
+            parts[part][key] = value
+        else:
             if key == "schedule" and value is not None:
                 value = tuple(value)
             exp_args[key] = value
-        else:
-            raise ValueError(f"unknown config key {key!r}")
     return ExperimentConfig(
-        ranker=RankerConfig(**ranker_args),
-        selection=SelectionConfig(**selection_args),
-        cost=CostConfig(**cost_args),
-        **exp_args,
+        **{part: cls(**parts[part]) for part, cls in _PARTS.items()}, **exp_args
     )
 
 
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            pass
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    return value
+def _parse_override(key: str, text: str):
+    """A `--set` value read as the type of the config field `key`."""
+    kind = _field(key)[1].type
+    if kind.endswith(" | None") and text.lower() == "none":
+        return None
+    base = kind.removesuffix(" | None")
+    try:
+        if base == "bool":
+            return {"true": True, "false": False}[text.lower()]
+        if base == "tuple[int, ...]":  # schedule: comma-separated ints
+            return tuple(int(v) for v in text.split(","))
+        return {"int": int, "float": float, "str": str}[base](text)
+    except (KeyError, ValueError):
+        raise ValueError(f"--set {key}={text}: expected {kind}") from None
 
 
 # config key -> the run-al argument that sets it
@@ -103,7 +108,7 @@ def _load_config(args) -> ExperimentConfig:
         if "=" not in override:
             raise ValueError(f"override must be key=value, got {override!r}")
         key, value = override.split("=", 1)
-        data[key] = _coerce(value)
+        data[key] = _parse_override(key, value)
     return config_from_dict(data)
 
 
@@ -229,10 +234,7 @@ def cmd_resume(args) -> int:
 
 
 def cmd_cost_calc(args) -> int:
-    if args.config and args.config != "default":
-        cost = load_cost_config(args.config)
-    else:
-        cost = CostConfig()
+    cost = _load_config(args).cost
     if args.assessments is not None:
         print(f"C_A={annotation_cost(args.assessments, cost):.2f}")
         return 0
@@ -247,11 +249,9 @@ def cmd_cost_calc(args) -> int:
             raise ValueError(
                 f"--gpu-hours needs {len(iterations)} comma-separated values"
             )
-    time_ledger = TimeLedger()
-    for idx, i in enumerate(iterations):
-        time_ledger.record(i, gpu_hours[idx], cost.selection_hours_per_iteration)
-    totals = {i: ledger.cumulative(i) for i in iterations}
-    report = total_cost(totals, time_ledger, cost)
+    report = total_cost(
+        {i: ledger.cumulative(i) for i in iterations}, dict(zip(iterations, gpu_hours)), cost
+    )
     print(f"{'iter':>4} {'A(i)':>8} {'C_A':>12} {'C_C':>12} {'C':>12}")
     for row in report.rows:
         print(
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assessments", type=int, help="print the annotation cost of this many assessments")
     p.add_argument("--ledger", help="assessment ledger CSV")
     p.add_argument("--gpu-hours", dest="gpu_hours", help="comma-separated per-iteration training hours")
-    p.add_argument("--config", help="cost config file, or 'default'")
+    p.add_argument("--config", help="run-al's JSON config file (flat keys); its cost keys are read")
     p.add_argument("--out", help="write the report CSV here")
     p.set_defaults(func=cmd_cost_calc)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -255,6 +256,15 @@ def serialize_qrels(qrels: Qrels, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for (qid, did), grade in qrels.items():
             fh.write(f"{qid} 0 {did} {grade}\n")
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write a header line and one line per row. csv writes a float by str(),
+    its shortest repr, so every value reads back bit for bit."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def serialize_run(run: Run, path: str | Path) -> None:

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .datamodel import Qrels, Run
+from .datamodel import Qrels, Run, write_csv
+
+
+def running_total(values) -> float:
+    """The sum of `values` added left to right from 0.0.
+
+    Python's sum() compensates float additions from 3.12 on; this gives
+    3.11's sum() bits on every version, so persisted floats do not depend on it.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass
@@ -19,7 +30,7 @@ class MetricResult:
     def mean(self) -> float:
         if not self.per_query:
             return 0.0
-        return sum(self.per_query.values()) / len(self.per_query)
+        return running_total(self.per_query.values()) / len(self.per_query)
 
     @property
     def query_count(self) -> int:
@@ -57,8 +68,8 @@ def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10) -> MetricResult:
         ideal = sorted((g for g in grades.values() if g > 0), reverse=True)
         if not ideal:
             continue
-        idcg = sum(float(g) / math.log2(i + 2) for i, g in enumerate(ideal[:k]))
-        dcg = sum(
+        idcg = running_total(float(g) / math.log2(i + 2) for i, g in enumerate(ideal[:k]))
+        dcg = running_total(
             float(grades.get(did, 0)) / math.log2(rank + 1)
             for rank, (did, _) in enumerate(run[qid].entries[:k], start=1)
         )
@@ -141,8 +152,8 @@ def paired_ttest(
     if n < 2:
         raise ValueError("need at least 2 paired observations")
     diffs = [x - y for x, y in zip(a, b)]
-    mean = sum(diffs) / n
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    mean = running_total(diffs) / n
+    var = running_total((d - mean) ** 2 for d in diffs) / (n - 1)
     if var == 0.0:
         if mean == 0.0:
             return SignificanceResult(0.0, 1.0, alpha, n_comparisons, False)
@@ -174,10 +185,6 @@ MAIN_HEADER = [
 ]
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def emit_reports(
     rows: list[dict],
     out_dir: str | Path,
@@ -190,63 +197,35 @@ def emit_reports(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
 
-    main_path = out / "results.csv"
-    with open(main_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MAIN_HEADER)
-        for row in rows:
-            writer.writerow([_fmt(row[key]) for key in MAIN_HEADER])
-    written["results"] = main_path
+    def columns(header: list[str], records: list[dict]):
+        return header, [[record[key] for key in header] for record in records]
 
-    stacked_path = out / "fig_cost_stacked.csv"
-    with open(stacked_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "seed", "iteration", "ndcg10", "C_A", "C_C"])
-        for row in rows:
-            writer.writerow(
-                [_fmt(row[k]) for k in ("strategy", "seed", "iteration", "ndcg10", "C_A", "C_C")]
-            )
-    written["fig_cost_stacked"] = stacked_path
-
-    assess_path = out / "fig_ndcg_vs_assessments.csv"
-    with open(assess_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "seed", "assessments", "ndcg10"])
-        for row in rows:
-            writer.writerow(
-                [_fmt(row[k]) for k in ("strategy", "seed", "assessments", "ndcg10")]
-            )
-    written["fig_ndcg_vs_assessments"] = assess_path
-
-    summary_path = out / "summary.csv"
     sizes = sorted({row["train_size"] for row in rows})
-    strategies = sorted({row["strategy"] for row in rows})
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy"] + [f"size_{s}" for s in sizes])
-        for strategy in strategies:
-            cells = []
-            for size in sizes:
-                vals = [
-                    row["ndcg10"]
-                    for row in rows
-                    if row["strategy"] == strategy and row["train_size"] == size
-                ]
-                cells.append(repr(sum(vals) / len(vals)) if vals else "-")
-            writer.writerow([strategy] + cells)
-    written["summary"] = summary_path
+    summary = []
+    for strategy in sorted({row["strategy"] for row in rows}):
+        cells = []
+        for size in sizes:
+            vals = [
+                row["ndcg10"]
+                for row in rows
+                if row["strategy"] == strategy and row["train_size"] == size
+            ]
+            cells.append(running_total(vals) / len(vals) if vals else "-")
+        summary.append([strategy] + cells)
 
+    tables = {
+        "results": columns(MAIN_HEADER, rows),
+        "fig_cost_stacked": columns(
+            ["strategy", "seed", "iteration", "ndcg10", "C_A", "C_C"], rows
+        ),
+        "fig_ndcg_vs_assessments": columns(["strategy", "seed", "assessments", "ndcg10"], rows),
+        "summary": (["strategy"] + [f"size_{s}" for s in sizes], summary),
+    }
     if variability is not None:
-        var_path = out / "variability.csv"
-        with open(var_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["strategy", "size", "seed", "ndcg10"])
-            for row in variability:
-                writer.writerow(
-                    [_fmt(row[k]) for k in ("strategy", "size", "seed", "ndcg10")]
-                )
-        written["variability"] = var_path
-
+        tables["variability"] = columns(["strategy", "size", "seed", "ndcg10"], variability)
+    written: dict[str, Path] = {}
+    for name, (header, table) in tables.items():
+        written[name] = out / f"{name}.csv"
+        write_csv(written[name], header, table)
     return written

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import annotation as anno
-from .budget import CostConfig, TimeLedger, total_cost
+from .budget import CostConfig, total_cost
 from .datamodel import Corpus, Qrels, QuerySet, RankedList, Run, TrainingTriplet
 from .evaluation import ndcg_at_k
 from .lexical import InvertedIndex, build_index, retrieve_topk
@@ -136,7 +136,7 @@ class IterationState:
     assessments_cumulative: int
     ndcg10: float
     training_hours: float
-    selection_hours: float
+    selection_hours: float  # kept in iter_*.json; no cost reads it
     checkpoint_name: str
     stop_reason: str = ""
 
@@ -499,12 +499,11 @@ def report_rows(
     config: ExperimentConfig, states: list[IterationState], seed_label: int = 0
 ) -> list[dict]:
     """Flat per-iteration report rows (effectiveness + cost breakdown)."""
-    time_ledger = TimeLedger()
-    assessment_totals = {}
-    for st in states:
-        time_ledger.record(st.iteration, st.training_hours, st.selection_hours)
-        assessment_totals[st.iteration] = st.assessments_cumulative
-    report = total_cost(assessment_totals, time_ledger, config.cost)
+    report = total_cost(
+        {st.iteration: st.assessments_cumulative for st in states},
+        {st.iteration: st.training_hours for st in states},
+        config.cost,
+    )
     by_iter = {r.iteration: r for r in report.rows}
     rows = []
     for st in states:

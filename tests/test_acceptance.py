@@ -88,9 +88,9 @@ def test_criterion_1_formula_fidelity():
     flipped = RankedList("q", [("b", 2.0), ("a", 1.0)])
     assert abs(vote_entropy([agree, flipped]) - math.log(2)) < 1e-12
 
-    cost = CostConfig()
-    assert abs(annotation_cost(75, cost) - 50.0) < 1e-12
-    assert abs(compute_cost(2.0, 3, cost, selection_hours=1.0) - 6.936) < 1e-12
+    assert abs(annotation_cost(75, CostConfig()) - 50.0) < 1e-12
+    cost = CostConfig(selection_hours_per_iteration=1.0)
+    assert abs(compute_cost(2.0, 3, cost) - 6.936) < 1e-12
 
 
 # -- 2. oracle equivalence ---------------------------------------------------

@@ -151,7 +151,6 @@ class TestAssessmentLedger:
         assert ledger.cumulative(1) == 8
         assert ledger.cumulative(2) == 9
         assert ledger.cumulative(3) == 15
-        assert ledger.total() == 15
 
     def test_cumulative_matches_record_resummation(self):
         ledger = AssessmentLedger()
@@ -196,3 +195,17 @@ class TestAssessmentLedger:
         loaded = AssessmentLedger.load_csv(path)
         assert loaded.records == ledger.records
         assert loaded.per_iteration == ledger.per_iteration
+
+    @pytest.mark.parametrize(
+        "header, missing",
+        [
+            ("iteration,query_id,outcome,assessments,negative_id", "positive_id"),
+            ("foo", "iteration, query_id, outcome, assessments, positive_id, negative_id"),
+            ("", "iteration, query_id, outcome, assessments, positive_id, negative_id"),
+        ],
+    )
+    def test_load_rejects_missing_columns(self, tmp_path, header, missing):
+        path = tmp_path / "assessments.csv"
+        path.write_text(header + "\n" if header else "")
+        with pytest.raises(ValueError, match=f"lacks columns {missing}$"):
+            AssessmentLedger.load_csv(path)

@@ -2,16 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alrank.budget import (
-    CostConfig,
-    TimeLedger,
-    annotation_cost,
-    compute_cost,
-    load_cost_config,
-    total_cost,
-)
+from alrank.budget import CostConfig, annotation_cost, compute_cost, total_cost
 
 DEFAULTS = CostConfig()
+ONE_SELECTION_HOUR = CostConfig(selection_hours_per_iteration=1.0)
 
 
 class TestAnnotationCost:
@@ -42,19 +36,16 @@ class TestAnnotationCost:
 class TestComputeCost:
     def test_reference_value(self):
         # 2 GPU hours at 3.060 plus 1 CPU hour at 0.408 over (3 - 1) iterations
-        got = compute_cost(2.0, 3, DEFAULTS, selection_hours=1.0)
+        got = compute_cost(2.0, 3, ONE_SELECTION_HOUR)
         assert got == pytest.approx(6.936, abs=1e-12)
 
     def test_iteration_one_has_no_selection_term(self):
-        assert compute_cost(5.0, 1, DEFAULTS, selection_hours=100.0) == pytest.approx(
-            5.0 * 3.060, abs=1e-12
-        )
+        config = CostConfig(selection_hours_per_iteration=100.0)
+        assert compute_cost(5.0, 1, config) == pytest.approx(5.0 * 3.060, abs=1e-12)
 
     def test_selection_term_scales_with_iteration(self):
-        base = compute_cost(0.0, 2, DEFAULTS, selection_hours=1.0)
-        assert compute_cost(0.0, 5, DEFAULTS, selection_hours=1.0) == pytest.approx(
-            4 * base, rel=1e-12
-        )
+        base = compute_cost(0.0, 2, ONE_SELECTION_HOUR)
+        assert compute_cost(0.0, 5, ONE_SELECTION_HOUR) == pytest.approx(4 * base, rel=1e-12)
 
     def test_default_selection_hours_from_config(self):
         config = CostConfig(selection_hours_per_iteration=0.5)
@@ -67,21 +58,20 @@ class TestComputeCost:
     @given(g=st.floats(0, 100), i=st.integers(1, 20))
     @settings(max_examples=50, deadline=None)
     def test_linearity_in_gpu_hours(self, g, i):
-        zero = compute_cost(0.0, i, DEFAULTS, selection_hours=0.2)
-        got = compute_cost(g, i, DEFAULTS, selection_hours=0.2)
+        config = CostConfig(selection_hours_per_iteration=0.2)
+        zero = compute_cost(0.0, i, config)
+        got = compute_cost(g, i, config)
         assert got == pytest.approx(zero + g * 3.060, rel=1e-9, abs=1e-9)
 
 
 class TestTotalCost:
-    def _ledger(self, iterations):
-        ledger = TimeLedger()
-        for i in iterations:
-            ledger.record(i, training=0.5 * i, selection=0.1)
-        return ledger
+    @staticmethod
+    def _hours(iterations):
+        return {i: 0.5 * i for i in iterations}
 
     def test_rows_decompose_exactly(self):
         totals = {1: 20, 2: 55, 3: 90}
-        report = total_cost(totals, self._ledger([1, 2, 3]), DEFAULTS)
+        report = total_cost(totals, self._hours([1, 2, 3]), DEFAULTS)
         assert [r.iteration for r in report.rows] == [1, 2, 3]
         for r in report.rows:
             assert r.total == pytest.approx(
@@ -92,19 +82,30 @@ class TestTotalCost:
             3.0 * 3.060 + 0.05 * 0.408 * 2, abs=1e-12
         )
 
-    def test_measured_selection_uses_ledger_mean(self):
-        ledger = TimeLedger()
-        ledger.record(1, training=0.0, selection=0.2)
-        ledger.record(2, training=0.0, selection=0.4)
-        report = total_cost({1: 5, 2: 10}, ledger, DEFAULTS, measured_selection=True)
-        assert report.rows[1].compute_cost == pytest.approx(0.3 * 0.408, abs=1e-12)
-
     def test_iteration_mismatch_rejected(self):
         with pytest.raises(ValueError, match="do not match"):
-            total_cost({1: 5, 2: 10}, self._ledger([1, 2, 3]), DEFAULTS)
+            total_cost({1: 5, 2: 10}, self._hours([1, 2, 3]), DEFAULTS)
+
+    @pytest.mark.parametrize("hours", [-1.0, float("nan"), float("inf")])
+    def test_bad_hours_rejected(self, hours):
+        with pytest.raises(ValueError, match="hours must be finite and >= 0"):
+            total_cost({1: 5, 2: 10}, {1: 0.5, 2: hours}, DEFAULTS)
+
+    def test_cumulative_hours_are_a_left_to_right_sum(self):
+        """Cumulative training hours are a plain running total from 0.0, on
+        every Python: sum() compensates its additions from 3.12 on, which
+        gives 1.0 here instead of 0.9999999999999999."""
+        config = CostConfig(gpu_cost_per_hour=1.0, selection_hours_per_iteration=0.0)
+        iterations = range(1, 11)
+        report = total_cost({i: 0 for i in iterations}, {i: 0.1 for i in iterations}, config)
+        total = 0.0
+        for i in iterations:
+            total += 0.1
+            assert report.rows[i - 1].compute_cost == total
+        assert report.rows[-1].compute_cost == 0.9999999999999999
 
     def test_csv_emission(self, tmp_path):
-        report = total_cost({1: 20, 2: 55}, self._ledger([1, 2]), DEFAULTS)
+        report = total_cost({1: 20, 2: 55}, self._hours([1, 2]), DEFAULTS)
         path = tmp_path / "cost.csv"
         report.save_csv(path)
         lines = path.read_text().splitlines()
@@ -126,22 +127,3 @@ class TestCostConfig:
             CostConfig(assessments_per_hour=0)
         with pytest.raises(ValueError):
             CostConfig(selection_hours_per_iteration=-1)
-
-    def test_load_key_value_file(self, tmp_path):
-        path = tmp_path / "cost.cfg"
-        path.write_text("# rates\nassessments_per_hour = 100\ngpu_cost_per_hour=2.5\n")
-        config = load_cost_config(path)
-        assert config.assessments_per_hour == 100.0
-        assert config.gpu_cost_per_hour == 2.5
-        assert config.annotator_cost_per_hour == 50.0
-
-    def test_load_json_file(self, tmp_path):
-        path = tmp_path / "cost.json"
-        path.write_text('{"cpu_cost_per_hour": 0.5}')
-        assert load_cost_config(path).cpu_cost_per_hour == 0.5
-
-    def test_load_malformed_line(self, tmp_path):
-        path = tmp_path / "cost.cfg"
-        path.write_text("not a pair\n")
-        with pytest.raises(ValueError, match="key=value"):
-            load_cost_config(path)

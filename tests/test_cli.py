@@ -3,7 +3,7 @@ import json
 import pytest
 
 from alrank.budget import CostConfig
-from alrank.cli import DESK_PROFILE, config_from_dict, main
+from alrank.cli import DESK_PROFILE, _load_config, build_parser, config_from_dict, main
 from alrank.experiment import Experiment, ExperimentConfig, load_run
 from alrank.ranker import RankerConfig
 from alrank.selection import SelectionConfig
@@ -126,6 +126,83 @@ class TestCostCalc:
     def test_missing_inputs(self, capsys):
         code, _, err = run_cli(capsys, "cost-calc")
         assert code == 1 and "either --assessments or --ledger" in err
+
+    @staticmethod
+    def _ledger(tmp_path, header="iteration,query_id,outcome,assessments,positive_id,negative_id"):
+        ledger = tmp_path / "assessments.csv"
+        ledger.write_text(f"{header}\n1,q1,triplet,30,p,n\n2,q2,triplet,45,p,n\n")
+        return ledger
+
+    @pytest.mark.parametrize("hours", ["-1", "nan", "inf"])
+    def test_bad_gpu_hours_rejected(self, tmp_path, capsys, hours):
+        code, out, err = run_cli(
+            capsys, "cost-calc", "--ledger", str(self._ledger(tmp_path)),
+            "--gpu-hours", f"1.0,{hours}",
+        )
+        assert code == 1 and "hours must be finite and >= 0" in err
+        assert out == ""
+
+    def test_ledger_without_columns_rejected(self, tmp_path, capsys):
+        ledger = self._ledger(tmp_path, header="iteration,query_id,outcome,assessments,negative_id")
+        code, _, err = run_cli(capsys, "cost-calc", "--ledger", str(ledger))
+        assert code == 1 and "lacks columns positive_id" in err
+
+    def test_config_is_run_al_json(self, tmp_path, capsys):
+        # the same flat file run-al reads; only its cost keys change the report
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"strategy": "qbc", "dim": 64, "gpu_cost_per_hour": 2.0}))
+        code, out, _ = run_cli(
+            capsys, "cost-calc", "--ledger", str(self._ledger(tmp_path)),
+            "--gpu-hours", "1.0,1.0", "--config", str(config),
+        )
+        assert code == 0
+        # iteration 2: 2 GPU hours at 2.0 plus 0.05 CPU hours at 0.408
+        assert out.splitlines()[2].split()[3] == f"{2 * 2.0 + 0.05 * 0.408:.3f}"
+
+    def test_key_value_config_rejected(self, tmp_path, capsys):
+        config = tmp_path / "cost.cfg"
+        config.write_text("gpu_cost_per_hour=2.0\n")
+        code, _, err = run_cli(capsys, "cost-calc", "--assessments", "75", "--config", str(config))
+        assert code == 1 and "error:" in err
+
+
+class TestSetOverrides:
+    """`--set` reads each value as the type of its config field."""
+
+    @staticmethod
+    def _config(*overrides):
+        argv = ["run-al", "--synthetic", "--out", "unused"]
+        for override in overrides:
+            argv += ["--set", override]
+        return _load_config(build_parser().parse_args(argv))
+
+    def test_str_field_stays_a_string(self):
+        config = self._config("scenario=retrain", "initial_checkpoint=5")
+        assert config.initial_checkpoint == "5"
+
+    def test_none_for_optional_field(self):
+        assert self._config("entropy_pair_depth=None").selection.entropy_pair_depth is None
+        assert self._config("entropy_pair_depth=4").selection.entropy_pair_depth == 4
+
+    def test_schedule_takes_comma_separated_ints(self):
+        assert self._config("iterations=1", "schedule=3").schedule == (3,)
+        assert self._config("iterations=2", "schedule=3,5").schedule == (3, 5)
+
+    def test_float_and_bool_fields(self):
+        config = self._config("learning_rate=1", "one_pair_per_query=True")
+        assert config.ranker.learning_rate == 1.0 and isinstance(config.ranker.learning_rate, float)
+        assert config.selection.one_pair_per_query is True
+
+    @pytest.mark.parametrize(
+        "override", ["iterations=abc", "schedule=3,x", "one_pair_per_query=yes", "dim=none"]
+    )
+    def test_unconvertible_value_names_the_key(self, tmp_path, capsys, override):
+        code, _, err = run_cli(
+            capsys, "run-al", "--synthetic", "--out", str(tmp_path / "x"), "--set", override,
+        )
+        key = override.split("=")[0]
+        assert code == 1 and err.startswith(f"error: --set {key}=")
+        assert not (tmp_path / "x").exists()
 
 
 @pytest.fixture(scope="module")

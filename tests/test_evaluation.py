@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from alrank.datamodel import Qrels, RankedList, Run
 from alrank.evaluation import (
+    MetricResult,
     emit_reports,
     ndcg_at_k,
     paired_ttest,
@@ -122,6 +123,22 @@ class TestNdcg:
             got = ndcg_at_k(single_run(docs), qrels, k=10).per_query["q1"]
             want = oracle_ndcg([grades[i] for i in order], grades, 10)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestLeftToRightSums:
+    def test_mean_and_ttest_sum_left_to_right(self):
+        """nDCG means and t-test moments are sums of a plain loop from 0.0, on
+        every Python: sum() compensates its additions from 3.12 on, which
+        gives 1.0 here instead of 0.0."""
+        values = (1e16, 1.0, -1e16)
+        total = 0.0
+        for value in values:
+            total += value
+        assert total == 0.0
+        per_query = dict(zip(("a", "b", "c"), values))
+        assert MetricResult(per_query, k=10).mean == 0.0
+        # mean difference 0.0 gives t = 0 exactly; a compensated sum gives 1/3
+        assert paired_ttest(list(values), [0.0, 0.0, 0.0]).t_statistic == 0.0
 
 
 class TestIncompleteBeta:
