@@ -49,12 +49,33 @@ def _field(key: str):
     raise ValueError(f"unknown config key {key!r}")
 
 
+# the Python types that a value of each field type may have; a bool is no int or float
+_VALUE_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _check_value(key: str, value, kind: str) -> None:
+    """ValueError naming `key` unless `value` is of the field type `kind`."""
+    base = kind.removesuffix(" | None")
+    if value is None:
+        ok = base != kind
+    elif base == "tuple[int, ...]":  # schedule: a list of ints
+        ok = isinstance(value, (list, tuple)) and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in value
+        )
+    else:
+        ok = isinstance(value, _VALUE_TYPES[base]) and (base == "bool") == isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"config key {key!r}: expected {kind}, got {value!r}")
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a flat key-value mapping."""
+    """Build an ExperimentConfig from a flat key-value mapping; ValueError
+    naming the key for an unknown key or a value not of its field's type."""
     parts: dict[str, dict] = {part: {} for part in _PARTS}
     exp_args = {}
     for key, value in data.items():
-        part, _ = _field(key)
+        part, f = _field(key)
+        _check_value(key, value, f.type)
         if part is not None:
             parts[part][key] = value
         else:
@@ -96,7 +117,9 @@ _ARG_KEYS = {
 def _load_config(args) -> ExperimentConfig:
     data: dict = {}
     if getattr(args, "config", None):
-        data.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: expected a JSON object of config keys")
     if getattr(args, "profile", None) == "desk":
         for key, value in DESK_PROFILE.items():
             data.setdefault(key, value)

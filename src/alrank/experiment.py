@@ -7,6 +7,8 @@ import json
 import os
 import shutil
 from dataclasses import asdict, dataclass, field, fields
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -201,7 +203,7 @@ class Experiment:
         self.config = config
         self.bundle = bundle
         self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.ranker = Ranker(config.ranker)
+        self.ranker = Ranker(config.ranker, bundle.corpus, bundle.index)
         self._start_state = self._scenario_start()
 
     def _scenario_start(self) -> RankerState:
@@ -427,32 +429,34 @@ class Experiment:
             items = [(qid, did) for qid, did in selected]
         else:
             items = [(qid, None) for qid in selected]
-        # canonical order keeps ledger totals independent of scheduling
-        for qid, did in sorted(items):
-            rng = np.random.default_rng(derive_seed(cfg.master_seed, f"negatives|{qid}", i))
+        # canonical order keeps ledger totals independent of scheduling; a
+        # query's pairs all walk one reranking of its candidates
+        for qid, group in groupby(sorted(items), key=itemgetter(0)):
             reranked = self._rerank_for_annotation(qid, walk_state)
             negatives = self.bundle.negatives[qid].top(cfg.negatives_depth)
-            if did is None:
-                triplet, assessments = anno.annotate_query(
-                    qid, reranked, negatives, self.bundle.qrels, rng,
-                    depth=cfg.selection.candidate_depth,
-                )
-            else:
-                triplet, assessments = anno.annotate_pair(
-                    qid, did, self.bundle.qrels, reranked, negatives, rng,
-                    depth=cfg.selection.candidate_depth,
-                )
-            if triplet is not None:
-                new_triplets.append(triplet)
-                records.append(
-                    anno.AnnotationRecord(i, qid, "triplet", assessments,
-                                          triplet.positive_id, triplet.negative_id)
-                )
-                touched_queries.add(qid)
-            else:
-                records.append(anno.AnnotationRecord(i, qid, "skipped", assessments))
-                if not cfg.exhausted_back_to_pool:
+            for _, did in group:
+                rng = np.random.default_rng(derive_seed(cfg.master_seed, f"negatives|{qid}", i))
+                if did is None:
+                    triplet, assessments = anno.annotate_query(
+                        qid, reranked, negatives, self.bundle.qrels, rng,
+                        depth=cfg.selection.candidate_depth,
+                    )
+                else:
+                    triplet, assessments = anno.annotate_pair(
+                        qid, did, self.bundle.qrels, reranked, negatives, rng,
+                        depth=cfg.selection.candidate_depth,
+                    )
+                if triplet is not None:
+                    new_triplets.append(triplet)
+                    records.append(
+                        anno.AnnotationRecord(i, qid, "triplet", assessments,
+                                              triplet.positive_id, triplet.negative_id)
+                    )
                     touched_queries.add(qid)
+                else:
+                    records.append(anno.AnnotationRecord(i, qid, "skipped", assessments))
+                    if not cfg.exhausted_back_to_pool:
+                        touched_queries.add(qid)
         remaining = [q for q in pool if q not in touched_queries]
         return new_triplets, records, remaining
 

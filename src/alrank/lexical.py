@@ -29,7 +29,8 @@ class InvertedIndex:
     """BM25 index over a corpus; immutable after build.
 
     `postings` maps each term (first-occurrence order; term i owns offsets[i]:offsets[i + 1]
-    of post_docs and post_tf) to its doc ordinals, tf and BM25 contribution per occurrence.
+    of post_docs and post_tf) to its doc ordinals (ascending), tf and BM25 contribution per
+    occurrence.
     """
 
     def __init__(self, doc_ids: list[str], terms: list[str], offsets: np.ndarray,
@@ -48,6 +49,15 @@ class InvertedIndex:
                          in zip(terms, offsets[:-1].tolist(), offsets[1:].tolist())}
         # rank of each ordinal among the sorted doc ids: the order of score ties
         self.doc_rank = np.argsort(sorted(range(n), key=doc_ids.__getitem__))
+
+    def term_frequencies(self, term: str, ordinals: np.ndarray) -> np.ndarray:
+        """The tf of `term` in each document of `ordinals` (0 where it does not occur)."""
+        posting = self.postings.get(term)
+        if posting is None or posting[0].size == 0:
+            return np.zeros(len(ordinals), dtype=np.int64)
+        docs, tf, _ = posting
+        at = np.minimum(np.searchsorted(docs, ordinals), docs.size - 1)
+        return np.where(docs[at] == ordinals, tf[at], 0)
 
 
 def build_index(corpus: Corpus, k1: float = 0.9, b: float = 0.4) -> InvertedIndex:
@@ -119,9 +129,10 @@ def load_index(path: str | Path) -> InvertedIndex:
     if ((post_docs < 0) | (post_docs >= n_docs) | (post_tf < 1)).any():
         raise ValueError(f"postings: need 0 <= document ordinal < {n_docs} and tf >= 1")
     keys = np.repeat(np.arange(len(sizes)), sizes) * n_docs + post_docs
-    if np.unique(keys).size != keys.size:
+    order = np.argsort(keys, kind="stable")  # each term's postings by ascending ordinal
+    if (np.diff(keys[order]) == 0).any():
         raise ValueError("postings: a document appears twice in one term's postings")
     if not np.array_equal(np.bincount(post_docs, post_tf, n_docs), doc_lengths):
         raise ValueError("doc_lengths: a document's length is not the sum of its postings' tf")
-    return InvertedIndex(doc_ids, list(postings), np.cumsum([0, *sizes]), post_docs, post_tf,
-                         doc_lengths, payload["k1"], payload["b"])
+    return InvertedIndex(doc_ids, list(postings), np.cumsum([0, *sizes]), post_docs[order],
+                         post_tf[order], doc_lengths, payload["k1"], payload["b"])

@@ -4,9 +4,9 @@ All three share a RankNet pairwise loss and plain SGD. Feature/embedding
 hashing is keyed by a config seed so states are fully reproducible.
 
 A `Ranker` computes what does not depend on the weights once and keeps it:
-  - per text, `tokenize` runs once. Cross keeps the tokens, one interned
-    string per distinct term, so texts sharing a word share its object; bi
-    and maxsim keep only the text's token-bucket array.
+  - per text it tokenizes, `tokenize` runs once. Cross keeps the tokens, one
+    interned string per distinct term, so texts sharing a word share its
+    object; bi and maxsim keep only the text's token-bucket array.
   - per term (cross), the ``q|t`` and ``m|t`` keys are hashed once to their
     (bucket, sign).
   - per (query, signature) (cross), the sparse feature vector. A doc's
@@ -14,13 +14,19 @@ A `Ranker` computes what does not depend on the weights once and keeps it:
     order; the features depend on nothing else, so docs with equal counts
     share one vector; `cross_features(q, None)` has the all-zero signature.
   - per (query, doc list) (cross), a scoring plan (`_cross_plan`): the list's
-    distinct signatures' features and each doc's position among them.
+    distinct signatures' features and each doc's position among them. A
+    cross ranker built with a corpus and its index (as `Experiment` builds
+    it) reads the signatures of a list of the corpus's documents from the
+    index postings, one tf lookup per distinct query term over the list's
+    doc ordinals, and never tokenizes those documents. A list with any other
+    text (no index, or an ad-hoc text) counts the terms in each doc's tokens.
   - per `train` call, each triplet's scoring docs and their feature or
-    bucket arrays (`_prepare_triplet`).
-The caches only skip recomputing the same values: a cross feature vector is
-built from the cached tokens with the float operations of the per-call
-version (per bucket, `sign * value` added for ``q|t`` and then ``m|t``, over
-the query's distinct terms in first-occurrence order, bucket ids sorted), so
+    bucket arrays (`_prepare_triplet`); their signatures come from tokens.
+The caches only skip recomputing the same values: a signature read from the
+postings is the token count (the index tokenized the same text), and a cross
+feature vector is built with the float operations of the per-call version
+(per bucket, `sign * value` added for ``q|t`` and then ``m|t``, over the
+query's distinct terms in first-occurrence order, bucket ids sorted), so
 features, scores and trained weights are bit-identical.
 
 Scoring has one path, `Ranker.score_batch`: one query against a list of
@@ -73,7 +79,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datamodel import Corpus, QuerySet, RankedList, TrainingTriplet
-from .lexical import tokenize
+from .lexical import InvertedIndex, tokenize
 
 ARCHITECTURES = ("cross", "bi", "maxsim")
 CHECKPOINT_MAGIC = b"ALRK"
@@ -232,10 +238,23 @@ def _signature(q_tokens: tuple[str, ...], d_tokens: tuple[str, ...]) -> tuple[in
 
 
 class Ranker:
-    """Stateless scoring/training engine for one config; states are explicit."""
+    """Stateless scoring/training engine for one config; states are explicit.
 
-    def __init__(self, config: RankerConfig):
+    A cross ranker given a corpus and its index reads its plans' signatures of
+    the corpus's documents from the index postings (see `_cross_plan`).
+    """
+
+    def __init__(
+        self, config: RankerConfig, corpus: Corpus | None = None, index: InvertedIndex | None = None
+    ):
         self.config = config
+        self._index = index
+        # cross with an index: each indexed text's doc ordinal (equal texts have equal postings)
+        self._ordinals: dict[str, int] = (
+            {corpus[did]: k for k, did in enumerate(index.doc_ids)}
+            if index is not None and config.architecture == "cross"
+            else {}
+        )
         self._hasher = _Hasher(config.hash_seed)
         # cross: (query, signature) -> features and (query, doc list) -> plan
         self._feature_cache: dict[tuple[str, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
@@ -334,19 +353,28 @@ class Ranker:
     def _cross_plan(self, query_text: str, doc_texts: list[str]) -> tuple[list, np.ndarray]:
         """The cross scoring plan of a query with tokens and a doc list: the
         features of the list's distinct signatures, and each doc's position
-        among them (-1 for a doc with no tokens). Made once per list."""
+        among them (-1 for a doc with no tokens). Made once per list.
+
+        When every text is a document of the ranker's index, the signatures
+        come from its postings, one tf lookup per distinct query term over the
+        list's ordinals; otherwise from each text's tokens."""
         key = (query_text, tuple(doc_texts))
         plan = self._plan_cache.get(key)
         if plan is None:
             q_tokens = self._tokens(query_text)
+            ordinals = list(map(self._ordinals.get, doc_texts))
+            if self._ordinals and None not in ordinals:
+                at = np.array(ordinals, dtype=np.int64)
+                terms = dict.fromkeys(q_tokens)
+                signatures = zip(*(self._index.term_frequencies(t, at).tolist() for t in terms))
+                has_tokens = map(self._index.doc_lengths.__getitem__, ordinals)
+            else:
+                d_tokens = [self._tokens(doc_text) for doc_text in doc_texts]
+                signatures = (_signature(q_tokens, d) for d in d_tokens)
+                has_tokens = d_tokens
             slots: dict[tuple[int, ...], int] = {}
-            doc_slots = []
-            for doc_text in doc_texts:
-                d_tokens = self._tokens(doc_text)
-                if d_tokens:
-                    doc_slots.append(slots.setdefault(_signature(q_tokens, d_tokens), len(slots)))
-                else:
-                    doc_slots.append(-1)
+            doc_slots = [slots.setdefault(sig, len(slots)) if has else -1
+                         for sig, has in zip(signatures, has_tokens)]
             features = [self._signature_features(query_text, sig) for sig in slots]
             plan = self._plan_cache[key] = (features, np.array(doc_slots, dtype=np.intp))
         return plan

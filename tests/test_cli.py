@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -64,6 +65,63 @@ class TestConfigFromDict:
         config = config_from_dict(dict(DESK_PROFILE))
         assert config.ranker.dim == 512
         assert config.ranker.epochs_evaluation == 50
+
+    def test_every_default_value_is_accepted(self):
+        data = {f.name: getattr(part(), f.name)
+                for part in (RankerConfig, SelectionConfig, CostConfig) for f in fields(part)}
+        data.update(iterations=2, schedule=[3, 4], initial_checkpoint=None,
+                    exhausted_back_to_pool=True, training_hours_per_sample_epoch=1)
+        config = config_from_dict(data)
+        assert config.schedule == (3, 4) and config.training_hours_per_sample_epoch == 1
+
+    @pytest.mark.parametrize("data, key", [
+        ({"iterations": "3"}, "iterations"),
+        ({"iterations": True}, "iterations"),
+        ({"iterations": 3.0}, "iterations"),
+        ({"learning_rate": False}, "learning_rate"),
+        ({"learning_rate": "0.1"}, "learning_rate"),
+        ({"schedule": 3}, "schedule"),
+        ({"schedule": [3, True]}, "schedule"),
+        ({"schedule": ["3"]}, "schedule"),
+        ({"strategy": None}, "strategy"),
+        ({"initial_checkpoint": 5}, "initial_checkpoint"),
+        ({"one_pair_per_query": 1}, "one_pair_per_query"),
+    ])
+    def test_value_of_another_type_rejected(self, data, key):
+        with pytest.raises(ValueError, match=f"^config key '{key}': expected "):
+            config_from_dict(data)
+
+    def test_int_is_a_valid_float(self):
+        assert config_from_dict({"learning_rate": 1}).ranker.learning_rate == 1
+
+
+class TestConfigFileTypes:
+    """run-al and cost-calc report a config file value of the wrong type as one
+    error line naming the key, and exit 1."""
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"iterations": "3"}', "'iterations'"),
+        ('{"iterations": true}', "'iterations'"),
+        ('{"schedule": 3}', "'schedule'"),
+        ("[1]", "JSON object"),
+    ])
+    @pytest.mark.parametrize("command", ["run-al", "cost-calc"])
+    def test_error_line(self, tmp_path, capsys, command, text, key):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        extra = (["--synthetic", "--out", str(tmp_path / "run")] if command == "run-al"
+                 else ["--assessments", "10"])
+        code, out, err = run_cli(capsys, command, "--config", str(path), *extra)
+        assert code == 1 and not out
+        assert err.count("\n") == 1 and err.startswith("error: ") and key in err
+
+    def test_int_learning_rate_accepted(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"learning_rate": 1}')
+        code, out, _ = run_cli(capsys, "cost-calc", "--config", str(path), "--assessments", "75")
+        assert code == 0 and "C_A=50.00" in out
+        assert _load_config(build_parser().parse_args(
+            ["run-al", "--out", "x", "--config", str(path)])).ranker.learning_rate == 1
 
 
 class TestMakeSynthetic:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alrank import annotation as anno
 from alrank.datamodel import Qrels, QuerySet
 from alrank.experiment import (
     Experiment,
@@ -19,7 +20,7 @@ from alrank.experiment import (
     run_experiment,
     run_variability,
 )
-from alrank.ranker import RankerConfig, save_checkpoint
+from alrank.ranker import Ranker, RankerConfig, save_checkpoint
 from alrank.selection import STRATEGIES, SelectionConfig
 
 TINY_RANKER = RankerConfig(
@@ -203,6 +204,60 @@ def test_tripletless_run_goes_to_the_end(unjudged_bundle, strategy):
     assert all(not s.triplets and s.training_hours == 0.0 for s in states)
     exp = Experiment(tiny_config(strategy), unjudged_bundle)
     assert {s.ndcg10 for s in states} == {exp.evaluate(exp._start_state)}
+
+
+@pytest.mark.parametrize("arch", ["cross", "maxsim"])
+def test_annotation_reranks_each_query_once(tiny_bundle, tmp_path, monkeypatch, arch):
+    """Pairs of one query walk one reranking of its candidates: one
+    `Ranker.rerank` per distinct selected query, and the same run files as a
+    run that reranks the candidates afresh for every pair."""
+    config = tiny_config(
+        "uncertainty", iterations=3,
+        selection=SelectionConfig(strategy="uncertainty", samples_per_iteration=6,
+                                  candidate_depth=20),
+        ranker=replace(TINY_RANKER, architecture=arch),
+    )
+    reranks, walk_state = [], {}
+    rerank, annotate, annotate_pair = Ranker.rerank, Experiment._annotate, anno.annotate_pair
+
+    def counting_rerank(self, state, query_text, candidates, corpus):
+        reranks.append(candidates.query_id)
+        return rerank(self, state, query_text, candidates, corpus)
+
+    def annotate_in(self, i, selected, pool, state):
+        walk_state.update(experiment=self, state=state)
+        reranks.clear()
+        result = annotate(self, i, selected, pool, state)
+        per_iteration.append((selected, list(reranks)))
+        return result
+
+    def per_pair_reranking(qid, did, qrels, reranked, *args, **kwargs):
+        fresh = walk_state["experiment"]._rerank_for_annotation(qid, walk_state["state"])
+        assert fresh.entries == reranked.entries
+        return annotate_pair(qid, did, qrels, fresh, *args, **kwargs)
+
+    monkeypatch.setattr(Ranker, "rerank", counting_rerank)
+    monkeypatch.setattr(Experiment, "_annotate", annotate_in)
+    per_iteration = []
+    run_experiment(config, tiny_bundle, tmp_path / "once")
+    pairs = [(selected, calls) for selected, calls in per_iteration[1:]]
+    assert all(isinstance(pair, list) for selected, _ in pairs for pair in selected)
+    assert any(len({q for q, _ in selected}) < len(selected) for selected, _ in pairs)
+    for selected, calls in pairs:
+        assert sorted(calls) == sorted({q for q, _ in selected})
+
+    monkeypatch.setattr(anno, "annotate_pair", per_pair_reranking)
+    per_iteration = []
+    run_experiment(config, tiny_bundle, tmp_path / "per-pair")
+    # the per-query reranks, then one fresh rerank per pair
+    assert [len(calls) for _, calls in per_iteration[1:]] == [
+        len(calls) + len(selected) for selected, calls in pairs
+    ]
+    once, per_pair = (
+        {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+        for name in ("once", "per-pair")
+    )
+    assert once == per_pair
 
 
 class TestResume:

@@ -1,6 +1,8 @@
 import json
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,6 +234,47 @@ def test_retrieval_matches_dict_loop_oracle(case, k1, b):
     assert got.query_id == "q1"
     assert [(d, s.hex()) for d, s in got.entries] == [(d, s.hex()) for d, s in expected]
     assert all(type(s) is float for _, s in got.entries)
+
+
+class TestTermFrequencies:
+    """`InvertedIndex.term_frequencies` reads tf from the postings; the oracle
+    is each document's token counts."""
+
+    ABSENT = ("zzzz", "", "Apple")  # no such term: the index holds lowercase tokens
+
+    @staticmethod
+    def check(index, corpus, terms):
+        counts = [Counter(tokenize(corpus[did])) for did in index.doc_ids]
+        n = index.n_docs
+        # every ordinal, in order, reversed and repeated
+        for ordinals in (np.arange(n), np.arange(n)[::-1], np.array([n - 1, 0, n - 1, 0])):
+            for term in terms:
+                got = index.term_frequencies(term, ordinals)
+                assert got.tolist() == [counts[k][term] for k in ordinals.tolist()], term
+        assert index.term_frequencies("apple", np.zeros(0, np.int64)).size == 0
+
+    def test_equals_token_counts(self, tiny_bundle):
+        index, corpus = tiny_bundle.index, tiny_bundle.corpus
+        terms = {t for did in corpus.ids() for t in tokenize(corpus[did])}
+        for split in (tiny_bundle.train_queries, tiny_bundle.test_queries):
+            terms.update(t for _, text in split.items() for t in tokenize(text))
+        terms.update(self.ABSENT)
+        # ordinals before a term's first posting and after its last are looked up
+        docs = [index.postings[t][0] for t in terms if t in index.postings]
+        assert any(d[0] > 0 for d in docs) and any(d[-1] < index.n_docs - 1 for d in docs)
+        assert any(t not in index.postings for t in terms)
+        self.check(index, corpus, sorted(terms))
+
+    def test_loaded_index_with_unordered_postings(self, tmp_path):
+        corpus = Corpus({"a": "fig kiwi fig", "b": "", "c": "kiwi", "d": "FIG, plum!"},
+                        permissive=True)
+        path = tmp_path / "index.json"
+        save_index(build_index(corpus), path)
+        payload = json.loads(path.read_text())
+        payload["postings"] = {t: plist[::-1] for t, plist in payload["postings"].items()}
+        payload["postings"]["unused"] = []
+        path.write_text(json.dumps(payload))
+        self.check(load_index(path), corpus, ["fig", "kiwi", "plum", "unused", *self.ABSENT])
 
 
 class TestIndexPersistence:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from alrank import ranker as ranker_module
 from alrank.datamodel import Corpus, QuerySet, RankedList, TrainingTriplet
 from alrank.experiment import Experiment, ExperimentConfig
-from alrank.lexical import tokenize
+from alrank.lexical import build_index, tokenize
 from alrank.ranker import (
     Ranker,
     RankerConfig,
@@ -759,6 +759,85 @@ class TestCrossPlan:
         a = ranker.cross_features(self.QUERY, "apple fig")
         b = ranker.cross_features(self.QUERY, "fig kiwi apple")
         assert a[0] is b[0] and a[1] is b[1]
+
+
+class TestIndexedCrossPlan:
+    """A cross ranker given a corpus and its index reads its plans' signatures
+    from the postings; its plans equal the token path's bit for bit."""
+
+    DOCS = [
+        "apple fig",
+        "",  # no tokens
+        "kiwi plum",  # no query term
+        "Apple, FIG!",  # an upper-case and punctuation variant of d0
+        "pear apple pear pear",
+        "apple fig",  # the same text as d0
+        "?! ...",  # no tokens
+        "fig_pear apple-apple",
+    ]
+    QUERIES = ["apple pear apple", "PEAR?", "fig fig kiwi", "zzzz", "apple zzzz pear", "?!"]
+
+    @staticmethod
+    def _same_plans(indexed, tokens, tokenized, state, query, texts) -> set[str]:
+        """Checks the two rankers' scores and plans; returns the texts that the
+        indexed ranker tokenized."""
+        tokenized.clear()
+        scores = indexed.score_batch(state, query, texts)
+        plan = indexed._cross_plan(query, texts) if tokenize(query) else None
+        seen = set(tokenized)
+        assert _same_bytes(scores, tokens.score_batch(state, query, texts))
+        if plan is not None:
+            (got, got_slots), (want, want_slots) = plan, tokens._cross_plan(query, texts)
+            assert _same_bytes(got_slots, want_slots) and len(got) == len(want)
+            for (idx, vals), (want_idx, want_vals) in zip(got, want):
+                assert _same_bytes(idx, want_idx) and _same_bytes(vals, want_vals)
+        return seen
+
+    @staticmethod
+    def _rankers(corpus, index, monkeypatch):
+        """An indexed and a token-path ranker, and the texts the indexed one tokenized."""
+        tokenized = []
+
+        def recording_tokenize(text):
+            tokenized.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(ranker_module, "tokenize", recording_tokenize)
+        config = RankerConfig(architecture="cross", dim=32)
+        return Ranker(config, corpus, index), Ranker(config), tokenized
+
+    def test_tiny_bundle_candidate_lists(self, tiny_bundle, monkeypatch):
+        b = tiny_bundle
+        indexed, tokens, tokenized = self._rankers(b.corpus, b.index, monkeypatch)
+        state = indexed.init_state(3)
+        lists = 0
+        for run, queries in ((b.candidates, b.train_queries), (b.negatives, b.train_queries),
+                             (b.test_candidates, b.test_queries)):
+            for qid, ranked in run.rankings.items():
+                texts = [b.corpus[did] for did in ranked.doc_ids()]
+                seen = self._same_plans(indexed, tokens, tokenized, state, queries[qid], texts)
+                assert seen <= {queries[qid]}  # no document was tokenized
+                lists += bool(texts)
+        assert lists > 30
+
+    def test_hand_made_corpus(self, monkeypatch):
+        corpus = Corpus({f"d{i}": text for i, text in enumerate(self.DOCS)}, permissive=True)
+        indexed, tokens, tokenized = self._rankers(corpus, build_index(corpus), monkeypatch)
+        state = indexed.init_state(5)
+        lists = [self.DOCS, self.DOCS[::-1], self.DOCS[2:4], ["", "?! ..."], []]
+        for query in self.QUERIES:
+            for texts in lists:
+                seen = self._same_plans(indexed, tokens, tokenized, state, query, texts)
+                assert seen <= {query}
+        # a list with a text that is no document of the index takes the token path
+        mixed = self.DOCS + ["apple pear kiwi"]
+        seen = self._same_plans(indexed, tokens, tokenized, state, self.QUERIES[0], mixed)
+        assert seen == set(mixed)
+
+    def test_other_architectures_ignore_the_index(self, tiny_bundle):
+        for arch in ("bi", "maxsim"):
+            ranker = Ranker(RankerConfig(architecture=arch), tiny_bundle.corpus, tiny_bundle.index)
+            assert not ranker._ordinals
 
 
 class TestTraining:
