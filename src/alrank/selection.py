@@ -12,9 +12,10 @@ from .ranker import Ranker, RankerState
 
 STRATEGIES = ("random", "uncertainty", "qbc", "diversity")
 
-# floats of (rows, k, d) temporary per row block of the k-means distance pass:
-# 1 MB stays in cache
-_BLOCK_FLOATS = 2**17
+# floats of (pairs, d) temporary per block of exact k-means distances: 256 KB
+# stays in cache (1 MB blocks cost about 25% more k-means time in a
+# mid-diversity loop on a 2-vCPU x86-64 VM)
+_BLOCK_FLOATS = 2**15
 
 
 @dataclass(frozen=True)
@@ -186,16 +187,42 @@ def select_qbc(
     return (entropies + sorted(unscored))[:s]
 
 
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances of every point to every centroid, one
-    broadcast per block of `_BLOCK_FLOATS // (k * d)` points."""
-    k, d = centroids.shape
-    rows = max(1, _BLOCK_FLOATS // max(k * d, 1))
-    out = np.empty((len(points), k))
-    for a in range(0, len(points), rows):
-        block = points[a : a + rows]
-        out[a : a + rows] = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return out
+def _near_distances(points, point_sq, centroids, best=None) -> np.ndarray:
+    """(n, k) squared distances, +inf where a pair's lower bound exceeds best[i]
+    (default: point i's least upper bound); see `kmeans`. Each is one contiguous
+    row sum, in blocks of `_BLOCK_FLOATS // d` pairs."""
+    fp = np.finfo(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total_sq = point_sq[:, None] + np.einsum("ij,ij->i", centroids, centroids)
+        estimate = total_sq - 2.0 * (points @ centroids.T)
+        estimate[np.isinf(estimate)] = np.nan  # an overflow bounds nothing
+        margin = 8 * points.shape[1] * (fp.eps * total_sq + fp.smallest_subnormal)
+        if best is None:
+            best = (estimate + margin).min(axis=1)
+        rows, cols = np.nonzero(~(estimate - margin > best[:, None]))  # NaN keeps a pair
+    dists = np.full(estimate.shape, np.inf)
+    step = max(1, _BLOCK_FLOATS // max(points.shape[1], 1))
+    for a in range(0, len(rows), step):
+        r, c = rows[a : a + step], cols[a : a + step]
+        dists[r, c] = ((points[r] - centroids[c]) ** 2).sum(axis=1)
+    return dists
+
+
+def _kmeans_pp_seeds(points, point_sq, k, rng) -> np.ndarray:
+    """Indices of k k-means++ seeds (D^2 sampling); a seed is measured only at
+    the points whose closest_sq it may lower."""
+    n = len(points)
+    seeds = np.empty(k, dtype=np.intp)
+    closest_sq = np.full(n, np.inf)
+    for c in range(k):
+        if c == 0 or (total := closest_sq.sum()) == 0.0:
+            seeds[c] = rng.integers(n)
+        else:
+            r = rng.random() * total
+            seeds[c] = min(int(np.searchsorted(np.cumsum(closest_sq), r)), n - 1)
+        near = _near_distances(points, point_sq, points[seeds[c : c + 1]], closest_sq)
+        closest_sq = np.minimum(closest_sq, near[:, 0])
+    return seeds
 
 
 def kmeans(
@@ -206,21 +233,17 @@ def kmeans(
     Empty clusters are repaired by reseeding from the point farthest from its
     assigned centroid. Returns an assignment array of length len(points).
 
-    Distances come from `_squared_distances`, which works through the points
-    in row blocks of about `_BLOCK_FLOATS` (2**17) floats of (rows, k, d)
-    temporary: 12 rows at k=20, d=512, about 1 MB whatever n is. The (n, k)
-    distance table is kept across passes and only stale columns are refilled:
-    seeding measures every seed's column and keeps it, so the first pass does
-    no distance work; after each pass only the clusters that gained or lost a
-    point get a new mean, and the next pass re-measures only their columns.
-
-    This is bit-identical to recomputing every distance and every mean in
-    every pass. Entry (i, c) is one sum over the contiguous length-d row of
-    squared differences of points[i] and centroids[c], whatever other
-    centroids are measured with it or how the rows are blocked; and an
-    unchanged cluster's mean runs over the same rows in the same order, so
-    its centroid keeps its bytes. The argmin, the repair and the assignment
-    are therefore those of one (n, k, d) broadcast per pass.
+    Exact distances are measured only for pairs that can be nearest (Elkan, ICML
+    2003): a pass estimates every pair as |p|^2 + |c|^2 - 2 p.c by one matmul and
+    prunes pair (i, c) if its lower bound exceeds point i's least upper bound.
+    Margin: with S = |p|^2 + |c|^2, the three dot products err by at most d eps S
+    in all, in any summation order (|2 p.c| <= S), the two additions by 1.5 eps S,
+    and the exact sum, at most 2 S, by (d + 2) eps S. 8 d eps S covers that
+    (2d + 3.5) eps S for every d >= 1, with eps S to spare for rounding a bound,
+    and 8 d subnormals cover underflowed products. So a pruned pair's distance
+    exceeds its point's least one: argmins (first index on ties), own_dist,
+    closest_sq, the D^2 draws and labels are bit for bit those of measuring all
+    pairs. NaN, inf or overflow give NaN or infinite bounds, which keep pairs.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -230,29 +253,11 @@ def kmeans(
         raise ValueError("k must be >= 1")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-
-    # k-means++ initialization; each seed's distance column is kept in dists
-    centroids = np.empty((k, points.shape[1]))
-    dists = np.empty((n, k))
-    centroids[0] = points[rng.integers(n)]
-    dists[:, 0] = closest_sq = _squared_distances(points, centroids[0:1])[:, 0]
-    for c in range(1, k):
-        total = closest_sq.sum()
-        if total == 0.0:
-            centroids[c] = points[rng.integers(n)]
-        else:
-            r = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(closest_sq), r))
-            idx = min(idx, n - 1)
-            centroids[c] = points[idx]
-        dists[:, c] = _squared_distances(points, centroids[c : c + 1])[:, 0]
-        closest_sq = np.minimum(closest_sq, dists[:, c])
-
+    point_sq = np.einsum("ij,ij->i", points, points)
+    centroids = points[_kmeans_pp_seeds(points, point_sq, k, rng)]
     assignment = None
-    moved = np.zeros(k, dtype=bool)  # centroids whose dists column is stale
     for _iter in range(max_iters):
-        if moved.any():
-            dists[:, moved] = _squared_distances(points, centroids[moved])
+        dists = _near_distances(points, point_sq, centroids)
         new_assignment = dists.argmin(axis=1)
         # repair empty clusters: steal the farthest point from a cluster of >= 2
         own_dist = dists[np.arange(n), new_assignment]
@@ -264,17 +269,14 @@ def kmeans(
                 worst = int(masked.argmax())
                 new_assignment[worst] = c
                 own_dist[worst] = -np.inf
-        if assignment is None:
-            moved[:] = True
-        else:
+        moved = range(k)
+        if assignment is not None:
             changed = new_assignment != assignment
             if not changed.any():
                 break
-            moved[:] = False
-            moved[assignment[changed]] = True
-            moved[new_assignment[changed]] = True
+            moved = set(assignment[changed].tolist()) | set(new_assignment[changed].tolist())
         assignment = new_assignment
-        for c in np.flatnonzero(moved):
+        for c in moved:  # an unmoved cluster's mean would keep its bytes
             centroids[c] = points[assignment == c].mean(axis=0)
     return assignment
 
@@ -292,7 +294,9 @@ def select_diversity(
     if s > len(pool):
         raise ValueError(f"s ({s}) exceeds pool size ({len(pool)})")
     ordered_pool = sorted(pool)
-    points = np.stack([ranker.encode_query(state, queries[q]) for q in ordered_pool])
+    points = np.empty((len(ordered_pool), ranker.config.dim))
+    for i, q in enumerate(ordered_pool):
+        points[i] = ranker.encode_query(state, queries[q])
     assignment = kmeans(points, s, rng, max_iters=max_iters)
     selected = []
     for c in range(s):

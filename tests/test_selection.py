@@ -93,7 +93,7 @@ def oracle_kmeans(points, k, rng, max_iters=100):
 def _kmeans_case(name):
     """(points, k) for one exactness case."""
     rng = np.random.default_rng(sum(map(ord, name)))
-    rows = selection._BLOCK_FLOATS // (4 * 256)  # rows per block at k=4, d=256
+    rows = selection._BLOCK_FLOATS // 256  # pairs per block at d=256; seeding measures n
     if name == "below_block_rows":
         return rng.normal(size=(rows - 1, 256)), 4
     if name == "equal_to_block_rows":
@@ -116,12 +116,42 @@ def _kmeans_case(name):
         pts[::7] = 0.0
         pts[3::7] = -0.0
         return pts, 6
+    if name == "near_ties_1ulp":
+        # 60 copies of each of two poles and 40 points on their bisector: once
+        # the poles are the seeds, a bisector point's two distances differ by
+        # 0-2 ulps, closer than the estimate can tell
+        base, step = rng.normal(size=8), rng.normal(size=8)
+        v = 0.3 * rng.normal(size=(40, 8))
+        v -= np.outer(v @ step, step) / (step @ step)
+        return np.concatenate((np.repeat([base - step, base + step], 60, axis=0), base + v)), 2
+    if name == "lattice_ties":
+        # integer points 1000 from the origin: distances to seeds tie exactly,
+        # and |p|^2 is 1e5 times them, so the estimate cannot order the pairs
+        return 1000.0 + rng.integers(0, 4, size=(300, 4)), 6
+    if name == "duplicate_centroids":
+        # 3 distinct rows, 6 clusters: once every row is a seed, closest_sq is
+        # all 0 and the next seeds repeat rows, so centroids tie exactly
+        return np.repeat(rng.normal(size=(3, 16)), [10, 7, 13], axis=0), 6
+    if name == "scale_1e-160":
+        # squares are subnormal: below eps |p|^2, only the margin's floor keeps pairs
+        return rng.normal(size=(300, 8)) * 1e-160, 6
+    if name == "scale_1e154":
+        # exact distances are finite, but |p|^2 + |c|^2 and 2 p.c overflow
+        return (0.4 + 0.01 * rng.normal(size=(120, 8))) * 1e154, 4
+    if name == "scale_1e154_overflow":
+        return rng.normal(size=(120, 8)) * 1e154, 4  # exact distances overflow too
+    if name in ("nan_row", "inf_row"):
+        pts = rng.normal(size=(80, 8))
+        pts[17, 3] = np.nan if name == "nan_row" else np.inf
+        return pts, 4
     raise ValueError(name)
 
 
 KMEANS_CASES = (
     "below_block_rows", "equal_to_block_rows", "not_a_multiple_of_block_rows",
     "k_is_1", "k_is_n", "d_is_1", "duplicates_force_repair", "negative_zeros",
+    "near_ties_1ulp", "lattice_ties", "duplicate_centroids", "scale_1e-160", "scale_1e154",
+    "scale_1e154_overflow", "nan_row", "inf_row",
 )
 
 
@@ -559,22 +589,29 @@ class TestKmeans:
     @pytest.mark.parametrize("case", KMEANS_CASES)
     def test_equals_broadcast_oracle_bit_for_bit(self, case, block_floats, monkeypatch):
         points, k = _kmeans_case(case)
-        if block_floats != "default":  # blocks of 1 row, 10 at d=1
+        n = len(points)
+        if block_floats != "default":  # blocks of 1 pair, 64 at d=1
             monkeypatch.setattr(selection, "_BLOCK_FLOATS", block_floats)
-        expected = oracle_kmeans(points, k, np.random.default_rng(3))
-        assert np.array_equal(kmeans(points, k, np.random.default_rng(3)), expected)
-        if case == "duplicates_force_repair":
-            assert sorted(set(expected.tolist())) == list(range(k))
-        centroids = points[np.random.default_rng(5).choice(len(points), k, replace=False)]
-        assert (
-            selection._squared_distances(points, centroids).tobytes()
-            == broadcast_squared_distances(points, centroids).tobytes()
-        )
-        for c in range(k):
+        # the oracle itself overflows or subtracts inf from inf on these
+        quiet = {"scale_1e154_overflow": {"over": "ignore"}, "inf_row": {"invalid": "ignore"}}
+        with np.errstate(**quiet.get(case, {})):
+            for seed in range(3, 8):
+                expected = oracle_kmeans(points, k, np.random.default_rng(seed))
+                got = kmeans(points, k, np.random.default_rng(seed))
+                assert got.tobytes() == expected.tobytes(), seed
+                if case in ("duplicates_force_repair", "duplicate_centroids"):
+                    assert sorted(set(expected.tolist())) == list(range(k))
+            # with no bound to beat, every (i, c) pair is measured
+            centroids = points[np.random.default_rng(5).choice(n, k, replace=False)]
+            point_sq = np.einsum("ij,ij->i", points, points)
+            every = np.full(n, np.inf)
             assert (
-                selection._squared_distances(points, centroids[c : c + 1])[:, 0].tobytes()
-                == ((points - centroids[c]) ** 2).sum(axis=1).tobytes()
+                selection._near_distances(points, point_sq, centroids, every).tobytes()
+                == broadcast_squared_distances(points, centroids).tobytes()
             )
+            for c in range(k):
+                column = selection._near_distances(points, point_sq, centroids[c : c + 1], every)
+                assert column[:, 0].tobytes() == ((points - centroids[c]) ** 2).sum(axis=1).tobytes()
 
     @given(
         case=sparse_encodings(),
@@ -589,34 +626,71 @@ class TestKmeans:
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_only_moved_centroids_are_remeasured(self, seed, monkeypatch):
-        points = np.random.default_rng(seed).normal(size=(300, 8))
-        k = 12
+    def test_only_pairs_that_can_be_nearest_are_measured(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        k, d = 12, 32
+        centers = rng.normal(scale=4.0, size=(k, d))
+        points = centers[rng.integers(k, size=300)] + rng.normal(size=(300, d))
+        n = len(points)
         passes, converged = kmeans_passes(points, k, seed, 100)
         # passes run, counting the one that found nothing to change
         run = len(passes) + 1 if converged else len(passes)
-        assert run >= 5
-        # the seeding measures k columns; pass p + 1 re-measures the centroids
-        # of the clusters that gained or lost a point in pass p (all k after pass 1)
-        moved = [k] + [
-            len(set(old[changed].tolist()) | set(new[changed].tolist()))
-            for old, new in zip(passes, passes[1:])
-            for changed in [new != old]
-        ]
-        expected = k + sum(moved[: run - 1])
-        columns = []
-        measure = selection._squared_distances
+        assert run >= 3
+        calls = []  # pairs measured per call; "seeded" marks the end of seeding
+        measure, seed_fn = selection._near_distances, selection._kmeans_pp_seeds
 
-        def counting(points, centroids):
-            columns.append(len(centroids))
-            return measure(points, centroids)
+        def counting(*args):
+            dists = measure(*args)
+            calls.append(int(np.isfinite(dists).sum()))  # pruned pairs read +inf
+            return dists
 
-        monkeypatch.setattr(selection, "_squared_distances", counting)
+        def seeding(*args):
+            seeds = seed_fn(*args)
+            calls.append("seeded")
+            return seeds
+
+        monkeypatch.setattr(selection, "_near_distances", counting)
+        monkeypatch.setattr(selection, "_kmeans_pp_seeds", seeding)
         labels = kmeans(points, k, np.random.default_rng(seed))
-        assert np.array_equal(labels, passes[-1])
-        assert sum(columns) == expected
-        # recomputing every column in every pass measures k * (passes + 1)
-        assert sum(columns) < k * (run + 1)
+        assert labels.tobytes() == passes[-1].tobytes()
+        seeding_calls, pass_calls = calls[: calls.index("seeded")], calls[calls.index("seeded") + 1 :]
+        # the first seed is measured at every point, each later one where it may
+        # lower closest_sq; then one call per pass
+        assert len(seeding_calls) == k and seeding_calls[0] == n
+        assert sum(seeding_calls) < n * k
+        assert len(pass_calls) == run
+        # every point keeps at least its nearest pair, and far fewer than all k
+        assert all(n <= pairs < n * k / 4 for pairs in pass_calls)
+
+    @pytest.mark.parametrize(
+        "where, step_scale, spread",
+        # near the origin a bisector point's two distances differ by 0-2 ulps;
+        # about 1000 from it, with centroids 2e-5 apart, the estimate's rounding
+        # (about eps |p|^2 = 1e-10) dwarfs the distances themselves
+        [("origin", 1.0, 1.0), ("far", 1e-5, 1e-12)],
+    )
+    def test_margin_keeps_the_pairs_the_estimate_cannot_order(self, where, step_scale, spread):
+        ties = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            for d in (1, 2, 3, 8):
+                base = rng.normal(size=d) if where == "origin" else rng.uniform(500, 2000, size=d)
+                step = rng.normal(size=d) * step_scale
+                centroids = np.stack((base - step, base + step, base + 3 * step))
+                v = rng.normal(size=(300, d)) * spread
+                points = base + v - np.outer(v @ step, step) / (step @ step)  # on the bisector
+                point_sq = np.einsum("ij,ij->i", points, points)
+                got = selection._near_distances(points, point_sq, centroids)
+                exact = broadcast_squared_distances(points, centroids)
+                kept = np.isfinite(got)
+                assert got[kept].tobytes() == exact[kept].tobytes()
+                least = exact.min(axis=1, keepdims=True)
+                assert (exact > least)[~kept].all()
+                assert got.argmin(axis=1).tobytes() == exact.argmin(axis=1).tobytes()
+                gap = np.abs(exact[:, 0] - exact[:, 1]) / np.spacing(least[:, 0])
+                ties += int((gap <= 1).sum())
+        if where == "origin":
+            assert ties > 10000, ties  # of 24000 points, so the ties are really there
 
     def test_max_iters_below_one_rejected(self):
         with pytest.raises(ValueError, match="max_iters"):
