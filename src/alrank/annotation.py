@@ -47,14 +47,12 @@ def sample_negative(
     qrels: Qrels,
     rng: np.random.Generator,
     exclude: set[str],
-    exclude_relevant: bool = True,
 ) -> str:
     """Uniform draw from the BM25 negatives pool, excluding given and judged-relevant docs."""
     eligible = [
         did
         for did in negatives_pool.doc_ids()
-        if did not in exclude
-        and not (exclude_relevant and qrels.is_relevant(query_id, did))
+        if did not in exclude and not qrels.is_relevant(query_id, did)
     ]
     if not eligible:
         raise ValueError(f"no eligible negative for query {query_id}")
@@ -68,7 +66,6 @@ def annotate_query(
     qrels: Qrels,
     rng: np.random.Generator,
     depth: int = 100,
-    exclude_relevant_negatives: bool = True,
 ) -> tuple[TrainingTriplet | None, int]:
     """Query-level annotation: positive is the first relevant in the reranked list.
 
@@ -79,9 +76,7 @@ def annotate_query(
     if isinstance(found, Exhausted):
         return None, found.examined
     rank, positive = found
-    negative = sample_negative(
-        query_id, bm25_negatives, qrels, rng, {positive}, exclude_relevant_negatives
-    )
+    negative = sample_negative(query_id, bm25_negatives, qrels, rng, {positive})
     return TrainingTriplet(query_id, positive, negative), rank
 
 
@@ -93,7 +88,6 @@ def annotate_pair(
     bm25_negatives: RankedList,
     rng: np.random.Generator,
     depth: int = 100,
-    exclude_relevant_negatives: bool = True,
 ) -> tuple[TrainingTriplet | None, int]:
     """Pair-level annotation for uncertainty selection.
 
@@ -102,9 +96,7 @@ def annotate_pair(
     list (1 + rank assessments).
     """
     if qrels.is_relevant(query_id, selected_doc):
-        negative = sample_negative(
-            query_id, bm25_negatives, qrels, rng, {selected_doc}, exclude_relevant_negatives
-        )
+        negative = sample_negative(query_id, bm25_negatives, qrels, rng, {selected_doc})
         return TrainingTriplet(query_id, selected_doc, negative), 1
     found = first_relevant(reranked, qrels, depth)
     if isinstance(found, Exhausted):

@@ -117,9 +117,6 @@ class Qrels:
         """Judged grade, or 0 for unjudged pairs."""
         return self._grades.get((qid, did), 0)
 
-    def is_judged(self, qid: str, did: str) -> bool:
-        return (qid, did) in self._grades
-
     def is_relevant(self, qid: str, did: str) -> bool:
         return self.grade(qid, did) >= self.threshold
 

@@ -32,10 +32,6 @@ class MetricResult:
             return 0.0
         return running_total(self.per_query.values()) / len(self.per_query)
 
-    @property
-    def query_count(self) -> int:
-        return len(self.per_query)
-
 
 @dataclass(frozen=True)
 class SignificanceResult:

@@ -128,10 +128,22 @@ def _write_replacing(path: Path, write) -> None:
     os.replace(tmp, path)
 
 
+@dataclass(frozen=True)
+class Selection:
+    """One iteration's picks: query ids (unit "query") or [qid, did] pairs
+    (unit "pair"), the state whose reranking the annotation walks (None for
+    BM25 order) and the accelerator hours of committee training."""
+
+    picks: list
+    unit: str
+    walk_state: RankerState | None
+    hours: float = 0.0
+
+
 @dataclass
 class IterationState:
     iteration: int
-    selected: list  # query ids, or [qid, did] pairs for uncertainty
+    selected: list  # Selection.picks: query ids, or [qid, did] pairs for unit "pair"
     pool: list[str]  # remaining pool after this iteration
     triplets: list[TrainingTriplet]  # cumulative annotated set D
     records: list[anno.AnnotationRecord]
@@ -291,8 +303,8 @@ class Experiment:
                     self._persist(states[-1])
                 break
             s_i = min(cfg.batch_for(i), len(pool))
-            selected, extra_hours, walk_state = self._select(i, s_i, pool, prev_sel_state, triplets)
-            new_triplets, records, pool = self._annotate(i, selected, pool, walk_state)
+            sel = self._select(i, s_i, pool, prev_sel_state, triplets)
+            new_triplets, records, pool = self._annotate(i, sel, pool)
             ledger.update(i, records)
             triplets = triplets + new_triplets
 
@@ -302,13 +314,13 @@ class Experiment:
 
             state = IterationState(
                 iteration=i,
-                selected=selected,
+                selected=sel.picks,
                 pool=list(pool),
                 triplets=list(triplets),
                 records=records,
                 assessments_cumulative=ledger.cumulative(i),
                 ndcg10=ndcg,
-                training_hours=train_hours + extra_hours,
+                training_hours=train_hours + sel.hours,
                 selection_hours=cfg.cost.selection_hours_per_iteration if i > 1 else 0.0,
                 checkpoint_name=f"iter_{i:04d}.ckpt",
             )
@@ -325,20 +337,16 @@ class Experiment:
         pool: list[str],
         prev_sel_state: RankerState | None,
         triplets: list[TrainingTriplet],
-    ):
-        """Returns (selected, extra accelerator hours from committee training,
-        the state whose reranking the annotation walks: None for BM25 order).
-
-        When no pool query has a BM25 candidate, every walk is exhausted with
+    ) -> Selection:
+        """When no pool query has a BM25 candidate, every walk is exhausted with
         zero assessments whatever is selected, so the draw is random, as in
-        iteration 1.
-        """
+        iteration 1."""
         cfg = self.config
         strategy = cfg.selection.strategy
         hitless = not any(len(self.bundle.candidates[qid]) for qid in pool)
         if i == 1 or strategy == "random" or hitless:
             rng = np.random.default_rng(derive_seed(cfg.master_seed, "subset", i))
-            return select_random(pool, s_i, rng), 0.0, None
+            return Selection(select_random(pool, s_i, rng), "query", None)
         assert prev_sel_state is not None
         if strategy == "uncertainty":
             pairs = select_uncertainty(
@@ -352,7 +360,7 @@ class Experiment:
                 s_i,
                 one_pair_per_query=cfg.selection.one_pair_per_query,
             )
-            return [[qid, did] for qid, did, _ in pairs], 0.0, prev_sel_state
+            return Selection([[qid, did] for qid, did, _ in pairs], "pair", prev_sel_state)
         if strategy == "qbc":
             committee, hours = self._train_committee(i, triplets)
             picked = select_qbc(
@@ -366,7 +374,7 @@ class Experiment:
                 s_i,
                 pair_depth=cfg.selection.entropy_pair_depth,
             )
-            return [qid for qid, _ in picked], hours, committee[0]
+            return Selection([qid for qid, _ in picked], "query", committee[0], hours)
         if strategy == "diversity":
             rng = np.random.default_rng(derive_seed(cfg.master_seed, "kmeans", i))
             picked = select_diversity(
@@ -378,7 +386,7 @@ class Experiment:
                 rng,
                 max_iters=cfg.selection.kmeans_max_iters,
             )
-            return picked, 0.0, prev_sel_state
+            return Selection(picked, "query", prev_sel_state)
         raise ValueError(f"unknown strategy {strategy!r}")
 
     def _train_committee(self, i: int, triplets: list[TrainingTriplet]):
@@ -418,21 +426,20 @@ class Experiment:
             walk_state, self.bundle.train_queries[qid], candidates, self.bundle.corpus
         )
 
-    def _annotate(self, i: int, selected: list, pool: list[str], walk_state: RankerState | None):
+    def _annotate(self, i: int, sel: Selection, pool: list[str]):
         cfg = self.config
-        is_pairs = bool(selected) and isinstance(selected[0], (list, tuple))
         new_triplets: list[TrainingTriplet] = []
         records: list[anno.AnnotationRecord] = []
         touched_queries: set[str] = set()
 
-        if is_pairs:
-            items = [(qid, did) for qid, did in selected]
+        if sel.unit == "pair":
+            items = [(qid, did) for qid, did in sel.picks]
         else:
-            items = [(qid, None) for qid in selected]
+            items = [(qid, None) for qid in sel.picks]
         # canonical order keeps ledger totals independent of scheduling; a
         # query's pairs all walk one reranking of its candidates
         for qid, group in groupby(sorted(items), key=itemgetter(0)):
-            reranked = self._rerank_for_annotation(qid, walk_state)
+            reranked = self._rerank_for_annotation(qid, sel.walk_state)
             negatives = self.bundle.negatives[qid].top(cfg.negatives_depth)
             for _, did in group:
                 rng = np.random.default_rng(derive_seed(cfg.master_seed, f"negatives|{qid}", i))

@@ -300,6 +300,6 @@ def select_diversity(
     assignment = kmeans(points, s, rng, max_iters=max_iters)
     selected = []
     for c in range(s):
-        members = [q for q, a in zip(ordered_pool, assignment) if a == c]
-        selected.append(members[rng.integers(len(members))])
+        members = np.flatnonzero(assignment == c)
+        selected.append(ordered_pool[members[rng.integers(len(members))]])
     return selected

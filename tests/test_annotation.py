@@ -51,15 +51,6 @@ class TestSampleNegative:
             out = sample_negative("q1", pool, QRELS, rng, exclude={"n2"})
             assert out == "n1"
 
-    def test_relevant_allowed_when_flag_off(self):
-        pool = ranked("r1", "n1")
-        rng = np.random.default_rng(0)
-        seen = {
-            sample_negative("q1", pool, QRELS, rng, exclude={"n1"}, exclude_relevant=False)
-            for _ in range(20)
-        }
-        assert seen == {"r1"}
-
     def test_no_eligible_raises(self):
         pool = ranked("r1", "r2")
         with pytest.raises(ValueError, match="no eligible negative"):

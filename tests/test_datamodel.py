@@ -67,7 +67,7 @@ class TestQrelsParsing:
 
     def test_zero_grade_present_but_irrelevant(self, tmp_path):
         qrels = parse_qrels(write(tmp_path, "q.txt", "q1 0 d3 0\n"), threshold=1)
-        assert qrels.is_judged("q1", "d3")
+        assert qrels.grades_for("q1") == {"d3": 0}
         assert not qrels.is_relevant("q1", "d3")
 
     def test_non_integer_grade(self, tmp_path):

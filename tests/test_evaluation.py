@@ -70,7 +70,7 @@ class TestNdcg:
             "q2": RankedList("q2", [("b", 1.0)]),
         })
         result = ndcg_at_k(run, qrels)
-        assert result.query_count == 1
+        assert set(result.per_query) == {"q1"}
         assert result.mean == pytest.approx(1.0, abs=1e-12)
 
     def test_no_shared_queries_raises(self):

@@ -224,11 +224,11 @@ def test_annotation_reranks_each_query_once(tiny_bundle, tmp_path, monkeypatch, 
         reranks.append(candidates.query_id)
         return rerank(self, state, query_text, candidates, corpus)
 
-    def annotate_in(self, i, selected, pool, state):
-        walk_state.update(experiment=self, state=state)
+    def annotate_in(self, i, sel, pool):
+        walk_state.update(experiment=self, state=sel.walk_state)
         reranks.clear()
-        result = annotate(self, i, selected, pool, state)
-        per_iteration.append((selected, list(reranks)))
+        result = annotate(self, i, sel, pool)
+        per_iteration.append((sel.picks, list(reranks)))
         return result
 
     def per_pair_reranking(qid, did, qrels, reranked, *args, **kwargs):
@@ -258,6 +258,82 @@ def test_annotation_reranks_each_query_once(tiny_bundle, tmp_path, monkeypatch, 
         for name in ("once", "per-pair")
     )
     assert once == per_pair
+
+
+def first_iteration(strategy, bundle):
+    """An Experiment, iteration 1's pool and triplets, and a trained state."""
+    exp = Experiment(tiny_config(strategy), bundle)
+    first = run_experiment(tiny_config(strategy, iterations=1), bundle)[0]
+    assert first.triplets
+    prev, _, _ = exp._train(1, first.triplets)
+    return exp, first.pool, first.triplets, prev
+
+
+def committee_hours(config, n_triplets):
+    """QBC's committee training hours, summed member by member."""
+    size = max(1, round(config.selection.member_fraction * n_triplets))
+    hours = 0.0
+    for _ in range(config.selection.committee_size):
+        hours += config.ranker.epochs_selection * size * config.training_hours_per_sample_epoch
+    return hours
+
+
+class TestSelection:
+    """The record `_select` hands to the annotation: picks, unit, walk state, hours."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_first_iteration_picks_queries_walked_in_bm25_order(self, tiny_bundle, strategy):
+        exp = Experiment(tiny_config(strategy), tiny_bundle)
+        pool = sorted(tiny_bundle.train_queries.ids())
+        sel = exp._select(1, 3, pool, None, [])
+        assert (sel.unit, sel.walk_state, sel.hours) == ("query", None, 0.0)
+        assert len(sel.picks) == 3 and set(sel.picks) <= set(pool)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_hitless_pool_falls_back_to_random(self, hitless_bundle, strategy):
+        exp, _, triplets, prev = first_iteration(strategy, hitless_bundle)
+        pool = sorted(q for q in hitless_bundle.train_queries.ids() if q.startswith("hitless"))
+        sel = exp._select(2, 2, pool, prev, triplets)
+        assert (sel.unit, sel.walk_state, sel.hours) == ("query", None, 0.0)
+
+    def test_uncertainty_picks_pairs_walking_the_previous_state(self, tiny_bundle):
+        exp, pool, triplets, prev = first_iteration("uncertainty", tiny_bundle)
+        sel = exp._select(2, 3, pool, prev, triplets)
+        assert (sel.unit, sel.hours) == ("pair", 0.0)
+        assert sel.walk_state is prev
+        assert all(len(pair) == 2 and pair[0] in pool for pair in sel.picks)
+
+    def test_diversity_picks_queries_walking_the_previous_state(self, tiny_bundle):
+        exp, pool, triplets, prev = first_iteration("diversity", tiny_bundle)
+        sel = exp._select(2, 3, pool, prev, triplets)
+        assert (sel.unit, sel.hours) == ("query", 0.0)
+        assert sel.walk_state is prev
+        assert set(sel.picks) <= set(pool)
+
+    def test_qbc_walks_the_first_member_and_carries_committee_hours(self, tiny_bundle):
+        exp, pool, triplets, prev = first_iteration("qbc", tiny_bundle)
+        sel = exp._select(2, 3, pool, prev, triplets)
+        assert sel.unit == "query"
+        committee, _ = exp._train_committee(2, triplets)
+        assert sel.walk_state == committee[0] and sel.walk_state != prev
+        assert sel.hours == committee_hours(exp.config, len(triplets)) > 0.0
+
+
+@pytest.mark.parametrize("strategy", ["random", "qbc"])
+def test_persisted_training_hours_add_committee_hours(tiny_bundle, strategy):
+    """iter_*.json's training_hours: the evaluation training's hours, plus the
+    committee's for QBC from iteration 2, with the same float bits as the
+    formulas summed in that order."""
+    config = tiny_config(strategy, iterations=3, training_hours_per_sample_epoch=0.1)
+    states = run_experiment(config, tiny_bundle)
+    assert [s.iteration for s in states] == [1, 2, 3]
+    for prev, st in zip([None] + states[:-1], states):
+        hours = (config.ranker.epochs_evaluation * len(st.triplets)
+                 * config.training_hours_per_sample_epoch)
+        if strategy == "qbc" and prev is not None:
+            assert prev.triplets
+            hours += committee_hours(config, len(prev.triplets))
+        assert st.training_hours == hours
 
 
 class TestResume:

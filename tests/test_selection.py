@@ -789,6 +789,25 @@ class TestSelectDiversity:
                 good += 1
         assert good / trials >= 0.95
 
+    def test_picks_match_per_cluster_scan(self):
+        """One draw per cluster from its members in sorted-pool order, as a
+        Python scan of the pool per cluster gives them."""
+        queries = QuerySet({f"q{i:02d}": f"tok{i % 5} tok{i % 3} w{i}" for i in range(14)})
+        ranker = Ranker(RankerConfig(architecture="bi", dim=8, hash_buckets=32))
+        state = ranker.init_state(0)
+        pool = sorted(queries.ids())
+        points = np.array([ranker.encode_query(state, queries[q]) for q in pool])
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            assignment = kmeans(points, 4, rng)
+            expected = []
+            for c in range(4):
+                members = [q for q, a in zip(pool, assignment) if a == c]
+                expected.append(members[rng.integers(len(members))])
+            picked = select_diversity(ranker, state, pool[::-1], queries, 4,
+                                      np.random.default_rng(seed))
+            assert picked == expected
+
 
 class TestSelectionConfig:
     def test_validation(self):
