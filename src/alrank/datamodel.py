@@ -71,6 +71,10 @@ class TextCollection:
     def ids(self) -> list[str]:
         return list(self._entries)
 
+    def texts(self, ids) -> list[str]:
+        """The texts of `ids`, in order, in one bulk lookup."""
+        return list(map(self._entries.__getitem__, ids))
+
     def items(self):
         return self._entries.items()
 

@@ -1,11 +1,26 @@
-"""Incremental annotate/train/evaluate loop with resumable persisted state."""
+"""Incremental annotate/train/evaluate loop with resumable persisted state.
+
+Each iteration i has two dependency chains. The selection chain runs
+select -> annotate -> train `epochs_selection` epochs, and its state is what
+iteration i + 1 selects with. The evaluation branch trains the remaining
+`epochs_evaluation - epochs_selection` epochs from that state and measures
+test nDCG@10; only iteration i's record reads its result. So while iteration
+i + 1 runs its selection chain, iteration i's branch runs in one forked worker
+process, when a second CPU is free (see `_EvaluationWorker`); a run with one
+iteration left never forks and evaluates inline. Either way each branch is
+the same single-threaded sequence of float operations, so every output keeps
+its bits. Iteration i is committed (checkpoint, then JSON) once its nDCG is
+back, after iteration i + 1's selection training.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import pickle
 import shutil
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from itertools import groupby
 from operator import itemgetter
@@ -208,6 +223,157 @@ def load_run(run_dir: str | Path) -> tuple[ExperimentConfig, str | None, list[It
     return config, data.get("fingerprint"), states
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the platform cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_is_safe() -> bool:
+    """From Python 3.12 on, os.fork warns in a process with more than one OS
+    thread (an unpinned BLAS pool is one), so fork only a single thread."""
+    if sys.version_info < (3, 12):
+        return True
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process runs on now (field 39 of Linux's /proc/self/stat)."""
+    try:
+        with open("/proc/self/stat", "rb") as f:
+            return int(f.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """`exc` if it survives a pickle round trip, else a RuntimeError naming it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+class _EvaluationWorker:
+    """One child process that runs evaluation branches in order while the
+    parent goes on with the next iteration.
+
+    The child is forked at the first `submit`, and only where this process
+    may run on two CPUs and can fork safely; otherwise, or if fork fails,
+    `submit` returns False and the caller runs the branch inline. The child
+    reads `(i, triplets, sel_state)` pickles from one pipe and writes each
+    branch's nDCG, or the exception it raised, to another. It never writes to
+    the run directory, ends at EOF or at `close`, and leaves by `os._exit`,
+    so no atexit hook runs and no buffer of the parent is flushed twice.
+
+    A forked child starts on its parent's CPU. Where the scheduler does not
+    balance load between CPUs (a cpuset without load balancing, isolated
+    CPUs), two busy processes stay there and share it, so the child leaves
+    the CPU its parent ran on at the fork for the others of its mask.
+    """
+
+    def __init__(self, branch):
+        self._branch = branch
+        self._pid: int | None = None  # None: not forked yet; 0: run inline
+        self._tasks = self._results = None
+
+    @property
+    def forked(self) -> bool:
+        return bool(self._pid)
+
+    def submit(self, *args) -> bool:
+        if self._pid is None:
+            self._pid = self._fork()
+        if not self._pid:
+            return False
+        pickle.dump(args, self._tasks, protocol=pickle.HIGHEST_PROTOCOL)
+        self._tasks.flush()
+        return True
+
+    def result(self) -> float:
+        """The oldest submitted branch's nDCG; its exception is raised here."""
+        try:
+            reply = pickle.load(self._results)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError("evaluation worker exited without a result") from None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def close(self, kill: bool = False) -> None:
+        """Stop the child (at once if `kill`, else after its current branch)
+        and reap it."""
+        if not self._pid:
+            return
+        pid, self._pid = self._pid, 0
+        if kill:
+            from signal import SIGKILL
+
+            os.kill(pid, SIGKILL)
+        for pipe in (self._tasks, self._results):
+            try:
+                pipe.close()  # EOF on the task pipe stops the child
+            except OSError:
+                pass
+        os.waitpid(pid, 0)
+
+    def _fork(self) -> int:
+        if _cpu_count() < 2 or not _fork_is_safe():
+            return 0
+        parent_cpu = _current_cpu()
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (task_r, task_w, result_r, result_w):
+                os.close(fd)
+            return 0
+        if pid == 0:
+            os.close(task_w)
+            os.close(result_r)
+            self._serve(task_r, result_w, parent_cpu)
+        os.close(task_r)
+        os.close(result_w)
+        self._tasks = os.fdopen(task_w, "wb")
+        self._results = os.fdopen(result_r, "rb")
+        return pid
+
+    def _serve(self, task_fd: int, result_fd: int, parent_cpu: int | None) -> None:
+        """The child's loop; never returns."""
+        status = 1
+        try:
+            others = os.sched_getaffinity(0) - {parent_cpu}
+            if others:
+                try:
+                    os.sched_setaffinity(0, others)
+                except OSError:
+                    pass  # a worker on the parent's CPU still gives the same bytes
+            with os.fdopen(task_fd, "rb") as tasks, os.fdopen(result_fd, "wb") as results:
+                while True:
+                    try:
+                        args = pickle.load(tasks)
+                    except EOFError:
+                        break
+                    try:
+                        reply = self._branch(*args)
+                    except Exception as exc:
+                        import traceback
+
+                        exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+                        reply = _portable(exc)
+                    pickle.dump(reply, results, protocol=pickle.HIGHEST_PROTOCOL)
+                    results.flush()
+            status = 0
+        finally:
+            os._exit(status)
+
+
 class Experiment:
     """Runs the incremental annotation/training loop for one strategy and seed."""
 
@@ -295,37 +461,61 @@ class Experiment:
         for st in states:
             ledger.update(st.iteration, st.records)
 
+        worker = _EvaluationWorker(self._evaluation_branch)
+        pending = None  # (state, sel_state) whose nDCG the worker is computing
+
+        def commit_pending():
+            nonlocal pending
+            if pending is not None:
+                pending[0].ndcg10 = worker.result()
+                self._persist(*pending)
+                pending = None
+
         start_iter = states[-1].iteration + 1 if states else 1
-        for i in range(start_iter, cfg.iterations + 1):
-            if not pool:
-                if states:
-                    states[-1].stop_reason = "pool exhausted"
-                    self._persist(states[-1])
-                break
-            s_i = min(cfg.batch_for(i), len(pool))
-            sel = self._select(i, s_i, pool, prev_sel_state, triplets)
-            new_triplets, records, pool = self._annotate(i, sel, pool)
-            ledger.update(i, records)
-            triplets = triplets + new_triplets
+        try:
+            for i in range(start_iter, cfg.iterations + 1):
+                if not pool:
+                    commit_pending()
+                    if states:
+                        states[-1].stop_reason = "pool exhausted"
+                        self._persist(states[-1])
+                    break
+                s_i = min(cfg.batch_for(i), len(pool))
+                sel = self._select(i, s_i, pool, prev_sel_state, triplets)
+                new_triplets, records, pool = self._annotate(i, sel, pool)
+                ledger.update(i, records)
+                triplets = triplets + new_triplets
 
-            sel_state, eval_state, train_hours = self._train(i, triplets)
-            prev_sel_state = sel_state
-            ndcg = self.evaluate(eval_state)
+                sel_state, train_hours = self._train(i, triplets)
+                prev_sel_state = sel_state
+                commit_pending()
 
-            state = IterationState(
-                iteration=i,
-                selected=sel.picks,
-                pool=list(pool),
-                triplets=list(triplets),
-                records=records,
-                assessments_cumulative=ledger.cumulative(i),
-                ndcg10=ndcg,
-                training_hours=train_hours + sel.hours,
-                selection_hours=cfg.cost.selection_hours_per_iteration if i > 1 else 0.0,
-                checkpoint_name=f"iter_{i:04d}.ckpt",
-            )
-            states.append(state)
-            self._persist(state, sel_state)
+                state = IterationState(
+                    iteration=i,
+                    selected=sel.picks,
+                    pool=list(pool),
+                    triplets=list(triplets),
+                    records=records,
+                    assessments_cumulative=ledger.cumulative(i),
+                    ndcg10=float("nan"),
+                    training_hours=train_hours + sel.hours,
+                    selection_hours=cfg.cost.selection_hours_per_iteration if i > 1 else 0.0,
+                    checkpoint_name=f"iter_{i:04d}.ckpt",
+                )
+                states.append(state)
+                # fork a worker only for a branch a next iteration can overlap;
+                # once forked, it takes every branch, as its caches are warm
+                overlapped = i < cfg.iterations and bool(pool)
+                if (overlapped or worker.forked) and worker.submit(i, triplets, sel_state):
+                    pending = (state, sel_state)
+                else:
+                    state.ndcg10 = self._evaluation_branch(i, triplets, sel_state)
+                    self._persist(state, sel_state)
+            commit_pending()
+        except BaseException:
+            worker.close(kill=True)
+            raise
+        worker.close()
         return states
 
     # -- phases ------------------------------------------------------------
@@ -467,10 +657,12 @@ class Experiment:
         remaining = [q for q in pool if q not in touched_queries]
         return new_triplets, records, remaining
 
-    def _train(self, i: int, triplets: list[TrainingTriplet]):
+    def _train(self, i: int, triplets: list[TrainingTriplet]) -> tuple[RankerState, float]:
+        """The selection state (`epochs_selection` epochs from the start state)
+        and the training hours of all `epochs_evaluation` epochs."""
         cfg = self.config
         if not triplets:
-            return self._start_state, self._start_state, 0.0
+            return self._start_state, 0.0
         sel_state = self.ranker.train(
             self._start_state,
             triplets,
@@ -479,9 +671,18 @@ class Experiment:
             cfg.ranker.epochs_selection,
             derive_seed(cfg.master_seed, "train", i),
         )
+        hours = cfg.ranker.epochs_evaluation * len(triplets) * cfg.training_hours_per_sample_epoch
+        return sel_state, hours
+
+    def _evaluation_branch(
+        self, i: int, triplets: list[TrainingTriplet], sel_state: RankerState
+    ) -> float:
+        """Iteration i's test nDCG@10: the remaining evaluation epochs from the
+        selection state, then `evaluate`. Nothing else reads its states."""
+        cfg = self.config
         extra_epochs = cfg.ranker.epochs_evaluation - cfg.ranker.epochs_selection
-        if extra_epochs > 0:
-            eval_state = self.ranker.train(
+        if triplets and extra_epochs > 0:
+            sel_state = self.ranker.train(
                 sel_state,
                 triplets,
                 self.bundle.corpus,
@@ -489,10 +690,7 @@ class Experiment:
                 extra_epochs,
                 derive_seed(cfg.master_seed, "train-resume", i),
             )
-        else:
-            eval_state = sel_state
-        hours = cfg.ranker.epochs_evaluation * len(triplets) * cfg.training_hours_per_sample_epoch
-        return sel_state, eval_state, hours
+        return self.evaluate(sel_state)
 
     def evaluate(self, state: RankerState) -> float:
         """Mean test nDCG@10 of the given state reranking the BM25 candidates."""

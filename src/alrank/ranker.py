@@ -453,7 +453,7 @@ class Ranker:
         if len(candidates) == 0:
             raise ValueError(f"empty candidate list for query {candidates.query_id}")
         doc_ids = candidates.doc_ids()
-        scores = self.score_batch(state, query_text, [corpus[did] for did in doc_ids])
+        scores = self.score_batch(state, query_text, corpus.texts(doc_ids))
         # RankedList's order, unchecked (ids distinct, scores floats); -(-s) is s
         ranked = RankedList(candidates.query_id, [])
         ranked.entries = [(did, -neg) for neg, did in sorted(zip((-scores).tolist(), doc_ids))]

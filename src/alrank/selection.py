@@ -82,7 +82,7 @@ def select_uncertainty(
         if qid not in bm25_run:
             continue
         doc_ids = bm25_run[qid].top(depth).doc_ids()
-        parts.append(ranker.score_batch(state, queries[qid], [corpus[did] for did in doc_ids]))
+        parts.append(ranker.score_batch(state, queries[qid], corpus.texts(doc_ids)))
         qids += [qid] * len(doc_ids)
         dids += doc_ids
     if not qids:

@@ -343,16 +343,16 @@ class TestRunDirectory:
         full, killed = tmp_path / "full", tmp_path / "killed"
         assert main(argv + ["--out", str(full)]) == 0
 
-        evaluate = Experiment.evaluate
-        calls = []
+        branch = Experiment._evaluation_branch
 
-        def evaluate_until_third(self, state):
-            calls.append(state)
-            if len(calls) == 3:
+        # keyed on the iteration, not on a call count: earlier iterations'
+        # branches may run in a forked worker, whose calls this process never sees
+        def evaluate_until_third(self, i, triplets, sel_state):
+            if i == 3:
                 raise Interrupted
-            return evaluate(self, state)
+            return branch(self, i, triplets, sel_state)
 
-        monkeypatch.setattr(Experiment, "evaluate", evaluate_until_third)
+        monkeypatch.setattr(Experiment, "_evaluation_branch", evaluate_until_third)
         with pytest.raises(Interrupted):
             main(argv + ["--out", str(killed)])
         monkeypatch.undo()
@@ -363,6 +363,25 @@ class TestRunDirectory:
         code, _, err = run_cli(capsys, "resume", "--out", str(killed))
         assert code == 0, err
         assert run_files(killed) == run_files(full)
+
+    def test_evaluation_error_is_reported(self, tmp_path, monkeypatch, capsys):
+        """A ValueError from iteration 1's evaluation branch, which runs in the
+        worker given two CPUs, reaches `main` with its type and message."""
+        branch = Experiment._evaluation_branch
+
+        def failing_first(self, i, triplets, sel_state):
+            if i == 1:
+                raise ValueError("no test query has candidates")
+            return branch(self, i, triplets, sel_state)
+
+        monkeypatch.setattr(Experiment, "_evaluation_branch", failing_first)
+        code, _, err = run_cli(
+            capsys, "run-al", "--synthetic", "--strategy", "random", "--iterations", "2",
+            "--batch", "5", *SMALL_RANKER, "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert err == "error: no test query has candidates\n"
+        assert not list(tmp_path.glob("iter_*"))
 
     def test_rerun_into_used_dir_replaces_earlier_run(self, tmp_path, capsys):
         argv = ["run-al", "--synthetic", "--strategy", "random", "--batch", "5", *SMALL_RANKER]

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import shutil
 import tempfile
 from dataclasses import replace
@@ -9,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alrank import annotation as anno
+from alrank import experiment
 from alrank.datamodel import Qrels, QuerySet
+from alrank.evaluation import emit_reports
 from alrank.experiment import (
     Experiment,
     ExperimentConfig,
@@ -265,7 +269,7 @@ def first_iteration(strategy, bundle):
     exp = Experiment(tiny_config(strategy), bundle)
     first = run_experiment(tiny_config(strategy, iterations=1), bundle)[0]
     assert first.triplets
-    prev, _, _ = exp._train(1, first.triplets)
+    prev, _ = exp._train(1, first.triplets)
     return exp, first.pool, first.triplets, prev
 
 
@@ -517,3 +521,253 @@ class TestMakeBundle:
     def test_all_query_splits_covered(self, tiny_bundle):
         assert set(tiny_bundle.candidates.query_ids()) == set(tiny_bundle.train_queries.ids())
         assert set(tiny_bundle.test_candidates.query_ids()) == set(tiny_bundle.test_queries.ids())
+
+
+class BranchFailed(Exception):
+    """Raised by a patched evaluation branch."""
+
+
+def write_run(config, bundle, out_dir, resume_run=False):
+    """A run (or a resume) into out_dir plus its reports, as `run-al` writes them;
+    every file of the directory, keyed by its relative path."""
+    exp = Experiment(config, bundle, out_dir)
+    states = exp.resume() if resume_run else exp.run()
+    emit_reports(report_rows(config, states), Path(out_dir) / "reports")
+    return {
+        path.relative_to(out_dir).as_posix(): path.read_bytes()
+        for path in sorted(Path(out_dir).rglob("*")) if path.is_file()
+    }
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestEvaluationWorker:
+    """Each iteration's evaluation branch runs in one forked worker while the
+    next iteration selects, or inline on one CPU: the same bytes either way."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Pids of the workers forked during the test; `forks.cpus(n)` sets the
+        CPU count the worker check reads."""
+
+        class Forks(list):
+            def cpus(self, n):
+                if n > 1 and not experiment._fork_is_safe():
+                    pytest.skip("os.fork would warn in this multi-threaded process")
+                monkeypatch.setattr(experiment, "_cpu_count", lambda: n)
+
+        pids = Forks()
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return pids
+
+    @pytest.mark.parametrize(
+        "strategy,arch,epochs_evaluation",
+        [("random", "cross", 4), ("uncertainty", "cross", 4), ("qbc", "cross", 4),
+         ("diversity", "cross", 4), ("uncertainty", "maxsim", 4), ("random", "cross", 2)],
+    )
+    def test_worker_and_inline_write_the_same_bytes(
+        self, tiny_bundle, tmp_path, forks, strategy, arch, epochs_evaluation
+    ):
+        config = tiny_config(
+            strategy, iterations=4,
+            ranker=replace(TINY_RANKER, architecture=arch, epochs_evaluation=epochs_evaluation),
+        )
+        forks.cpus(1)
+        inline = write_run(config, tiny_bundle, tmp_path / "inline")
+        assert forks == []
+        forks.cpus(2)
+        assert write_run(config, tiny_bundle, tmp_path / "worker") == inline
+        assert len(forks) == 1
+        assert_reaped(forks)
+        assert sorted(inline)[:3] == ["config.json", "iter_0001.ckpt", "iter_0001.json"]
+        assert "reports/results.csv" in inline
+
+    @pytest.mark.parametrize("arch", ["cross", "maxsim"])
+    def test_worker_evaluates_the_states_inline_evaluation_does(
+        self, tiny_bundle, monkeypatch, forks, arch
+    ):
+        """On tiny data two evaluation states can share an nDCG, so here
+        `evaluate` returns a digest of the state it is given. Given a worker,
+        every branch runs there, the last one included."""
+
+        def state_digest(self, state):
+            blob = b"".join(state.arrays[k].tobytes() for k in sorted(state.arrays))
+            return int.from_bytes(hashlib.sha256(blob).digest()[:6], "little") / 2**48
+
+        branch, parent_branches = Experiment._evaluation_branch, []
+
+        def parent_branch(self, i, triplets, sel_state):
+            parent_branches.append(i)  # the worker appends to its own copy
+            return branch(self, i, triplets, sel_state)
+
+        monkeypatch.setattr(Experiment, "evaluate", state_digest)
+        monkeypatch.setattr(Experiment, "_evaluation_branch", parent_branch)
+        config = tiny_config(
+            "uncertainty", iterations=4, ranker=replace(TINY_RANKER, architecture=arch)
+        )
+        forks.cpus(1)
+        inline = [s.to_json() for s in run_experiment(config, tiny_bundle)]
+        assert parent_branches == [1, 2, 3, 4]
+        assert len({s["ndcg10"] for s in inline}) == 4
+        parent_branches.clear()
+        forks.cpus(2)
+        assert [s.to_json() for s in run_experiment(config, tiny_bundle)] == inline
+        assert parent_branches == [] and len(forks) == 1
+
+    @pytest.mark.parametrize("cpus,committed", [
+        (1, {1: 0, 2: 1, 3: 2, 4: 3}),
+        (2, {1: 0, 2: 0, 3: 1, 4: 2}),
+    ])
+    def test_iteration_is_committed_after_the_next_selection_training(
+        self, tiny_bundle, tmp_path, monkeypatch, forks, cpus, committed
+    ):
+        """Inline, iteration i is committed before iteration i + 1 trains; with
+        the worker, once iteration i + 1's selection training is done."""
+        train, seen = Experiment._train, {}
+
+        def recording_train(self, i, triplets):
+            seen[i] = len(list(tmp_path.glob("iter_*.json")))
+            return train(self, i, triplets)
+
+        monkeypatch.setattr(Experiment, "_train", recording_train)
+        forks.cpus(cpus)
+        run_experiment(tiny_config(iterations=4), tiny_bundle, tmp_path)
+        assert seen == committed
+        assert len(list(tmp_path.glob("iter_*.json"))) == 4
+
+    def test_resume_from_a_cut_takes_the_worker_path(self, tiny_bundle, tmp_path, forks):
+        config = tiny_config("uncertainty", iterations=4)
+        forks.cpus(1)
+        full = write_run(config, tiny_bundle, tmp_path / "full")
+        shutil.copytree(tmp_path / "full", tmp_path / "part")
+        shutil.rmtree(tmp_path / "part" / "reports")
+        for k in (2, 3, 4):
+            for suffix in ("json", "ckpt"):
+                (tmp_path / "part" / f"iter_{k:04d}.{suffix}").unlink()
+        forks.cpus(2)
+        assert write_run(config, tiny_bundle, tmp_path / "part", resume_run=True) == full
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_pool_running_dry_after_a_handed_off_branch(self, tiny_bundle, tmp_path, forks):
+        """Iteration 2 empties the pool: its branch still goes to the worker
+        forked for iteration 1, and the stop is recorded once its nDCG is in."""
+        config = tiny_config(
+            iterations=4,
+            selection=SelectionConfig(strategy="random", samples_per_iteration=8, candidate_depth=20),
+        )
+        forks.cpus(1)
+        inline = write_run(config, tiny_bundle, tmp_path / "inline")
+        forks.cpus(2)
+        assert write_run(config, tiny_bundle, tmp_path / "worker") == inline
+        assert len(forks) == 1
+        assert json.loads(inline["iter_0002.json"])["stop_reason"] == "pool exhausted"
+        assert "iter_0003.json" not in inline
+
+    def test_worker_leaves_the_cpu_its_parent_ran_on(self, tiny_bundle, monkeypatch, forks):
+        cpus = os.sched_getaffinity(0)
+        assert experiment._current_cpu() in cpus
+        if len(cpus) < 2:
+            pytest.skip("one CPU in the affinity mask")
+        forks.cpus(2)
+        monkeypatch.setattr(experiment, "_current_cpu", lambda: min(cpus))
+
+        def report_affinity(self, i, triplets, sel_state):
+            raise BranchFailed(sorted(os.sched_getaffinity(0)))
+
+        monkeypatch.setattr(Experiment, "_evaluation_branch", report_affinity)
+        with pytest.raises(BranchFailed) as raised:
+            run_experiment(tiny_config(iterations=2), tiny_bundle)
+        assert raised.value.args[0] == sorted(cpus - {min(cpus)})
+        assert_reaped(forks)
+
+    def test_one_iteration_left_never_forks(self, tiny_bundle, tmp_path, forks):
+        forks.cpus(2)
+        config = tiny_config("uncertainty", iterations=3)
+        run_experiment(config, tiny_bundle, tmp_path)
+        assert len(forks) == 1
+        for suffix in ("json", "ckpt"):
+            (tmp_path / f"iter_0003.{suffix}").unlink()
+        resume(config, tiny_bundle, tmp_path)
+        run_experiment(tiny_config("uncertainty", iterations=1), tiny_bundle, tmp_path / "one")
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failing_branch_raises_and_resume_finishes_the_run(
+        self, tiny_bundle, tmp_path, monkeypatch, forks, cpus
+    ):
+        """Iteration 2's branch raises (in the worker, given two CPUs): the run
+        re-raises its type and message with only iteration 1 committed, and a
+        resume writes the uninterrupted run's bytes."""
+        config = tiny_config("qbc", iterations=4)
+        forks.cpus(cpus)
+        full = write_run(config, tiny_bundle, tmp_path / "full")
+        branch = Experiment._evaluation_branch
+
+        def failing_branch(self, i, triplets, sel_state):
+            if i == 2:
+                raise BranchFailed(f"evaluation of iteration {i} failed")
+            return branch(self, i, triplets, sel_state)
+
+        monkeypatch.setattr(Experiment, "_evaluation_branch", failing_branch)
+        with pytest.raises(BranchFailed, match="evaluation of iteration 2 failed"):
+            run_experiment(config, tiny_bundle, tmp_path / "part")
+        assert sorted(p.name for p in (tmp_path / "part").iterdir()) == [
+            "config.json", "iter_0001.ckpt", "iter_0001.json",
+        ]
+        monkeypatch.setattr(Experiment, "_evaluation_branch", branch)
+        assert write_run(config, tiny_bundle, tmp_path / "part", resume_run=True) == full
+        assert len(forks) == (3 if cpus == 2 else 0)
+        assert_reaped(forks)
+
+    def test_worker_exiting_without_a_result_raises(self, tiny_bundle, tmp_path, monkeypatch, forks):
+        forks.cpus(2)
+        branch = Experiment._evaluation_branch
+
+        def dying_branch(self, i, triplets, sel_state):
+            if i == 1:
+                os._exit(3)  # the worker dies without a reply
+            return branch(self, i, triplets, sel_state)
+
+        monkeypatch.setattr(Experiment, "_evaluation_branch", dying_branch)
+        with pytest.raises(RuntimeError, match="exited without a result"):
+            run_experiment(tiny_config(iterations=3), tiny_bundle, tmp_path)
+        assert not list(tmp_path.glob("iter_*"))
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_failed_fork_runs_inline(self, tiny_bundle, tmp_path, monkeypatch, forks):
+        forks.cpus(1)
+        config = tiny_config("diversity", iterations=3)
+        inline = write_run(config, tiny_bundle, tmp_path / "inline")
+        forks.cpus(2)
+
+        def no_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert write_run(config, tiny_bundle, tmp_path / "refused") == inline
+
+    def test_unpicklable_exception_comes_back_as_runtime_error(self):
+        class TwoArgs(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        portable = experiment._portable(TwoArgs(1, 2))
+        assert type(portable) is RuntimeError
+        assert str(portable) == "TwoArgs: 1 and 2"
+        error = ValueError("bad value")
+        assert experiment._portable(error) is error
