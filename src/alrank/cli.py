@@ -5,26 +5,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import datamodel, lexical, synthetic
 from .annotation import AssessmentLedger
-from .budget import CostConfig, annotation_cost, total_cost
+from .budget import annotation_cost, total_cost
 from .evaluation import emit_reports
 from .experiment import (
+    SCENARIOS,
     DataBundle,
     Experiment,
     ExperimentConfig,
     IterationState,
+    _field,
     _write_replacing,
+    config_from_dict,
     load_run,
     make_bundle,
     report_rows,
     run_variability,
 )
-from .ranker import RankerConfig
-from .selection import SelectionConfig
+from .selection import STRATEGIES
 
 DESK_PROFILE = {
     "dim": 512,
@@ -34,57 +35,6 @@ DESK_PROFILE = {
     "epochs_evaluation": 50,
     "batch_size": 32,
 }
-
-
-# the dataclass behind each part of ExperimentConfig that flat keys fill
-_PARTS = {"ranker": RankerConfig, "selection": SelectionConfig, "cost": CostConfig}
-
-
-def _field(key: str):
-    """(part, field) of a flat config key; part None for ExperimentConfig's own fields."""
-    for part, cls in (*_PARTS.items(), (None, ExperimentConfig)):
-        for f in fields(cls):
-            if f.name == key and key not in _PARTS:
-                return part, f
-    raise ValueError(f"unknown config key {key!r}")
-
-
-# the Python types that a value of each field type may have; a bool is no int or float
-_VALUE_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
-
-
-def _check_value(key: str, value, kind: str) -> None:
-    """ValueError naming `key` unless `value` is of the field type `kind`."""
-    base = kind.removesuffix(" | None")
-    if value is None:
-        ok = base != kind
-    elif base == "tuple[int, ...]":  # schedule: a list of ints
-        ok = isinstance(value, (list, tuple)) and all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value
-        )
-    else:
-        ok = isinstance(value, _VALUE_TYPES[base]) and (base == "bool") == isinstance(value, bool)
-    if not ok:
-        raise ValueError(f"config key {key!r}: expected {kind}, got {value!r}")
-
-
-def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a flat key-value mapping; ValueError
-    naming the key for an unknown key or a value not of its field's type."""
-    parts: dict[str, dict] = {part: {} for part in _PARTS}
-    exp_args = {}
-    for key, value in data.items():
-        part, f = _field(key)
-        _check_value(key, value, f.type)
-        if part is not None:
-            parts[part][key] = value
-        else:
-            if key == "schedule" and value is not None:
-                value = tuple(value)
-            exp_args[key] = value
-    return ExperimentConfig(
-        **{part: cls(**parts[part]) for part, cls in _PARTS.items()}, **exp_args
-    )
 
 
 def _parse_override(key: str, text: str):
@@ -135,15 +85,35 @@ def _load_config(args) -> ExperimentConfig:
     return config_from_dict(data)
 
 
+# the data files a "files" provenance names
+_FILES = ("corpus", "queries", "test_queries", "qrels")
+
+
 def _provenance_from_args(args) -> dict:
     """Where the data comes from, as data.json records it."""
     if getattr(args, "synthetic", False):
         return {"kind": "synthetic", "seed": getattr(args, "synthetic_seed", 0) or 0}
-    names = ("corpus", "queries", "test_queries", "qrels")
-    for name in names:
+    for name in _FILES:
         if getattr(args, name, None) is None:
             raise ValueError(f"missing required path: --{name.replace('_', '-')}")
-    return {"kind": "files", **{name: str(getattr(args, name)) for name in names}}
+    return {"kind": "files", **{name: str(getattr(args, name)) for name in _FILES}}
+
+
+def _read_provenance(path: Path) -> dict:
+    """data.json read back; ValueError naming it unless it holds what
+    `_provenance_from_args` writes."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind == "synthetic":
+        ok = type(data.get("seed")) is int  # a bool is no seed
+    else:
+        ok = kind == "files" and all(isinstance(data.get(n), str) for n in _FILES)
+    if not ok:
+        raise ValueError(
+            f"{path}: expected kind 'synthetic' with an int seed, or 'files' with "
+            f"path strings {', '.join(_FILES)}; got {data!r}"
+        )
+    return data
 
 
 def _bundle_from_provenance(provenance: dict, config: ExperimentConfig) -> DataBundle:
@@ -248,7 +218,7 @@ def cmd_run_al(args) -> int:
 def cmd_resume(args) -> int:
     out_dir = Path(args.out)
     config, _, _ = load_run(out_dir)
-    provenance = json.loads((out_dir / "data.json").read_text(encoding="utf-8"))
+    provenance = _read_provenance(out_dir / "data.json")
     bundle = _bundle_from_provenance(provenance, config)
     states = Experiment(config, bundle, out_dir).resume()
     _write_run_outputs(config, states, out_dir)
@@ -365,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_config_args(p)
     p.add_argument("--out", required=True, help="run state/output directory")
-    p.add_argument("--strategy", choices=["random", "uncertainty", "qbc", "diversity"])
-    p.add_argument("--scenario", choices=["scratch", "retrain"])
+    p.add_argument("--strategy", choices=STRATEGIES)
+    p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--initial-checkpoint", dest="initial_checkpoint")
     p.add_argument("--iterations", type=int)
     p.add_argument("--batch", type=int, help="queries selected per iteration")

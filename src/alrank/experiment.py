@@ -193,29 +193,74 @@ class IterationState:
         })
 
 
-def _from_fields(cls, data: dict):
-    """`cls` built from the keys of `data` it has a field for. A config.json
-    written with other fields fails `Experiment.resume`'s fingerprint check."""
-    return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+# the dataclass behind each part of ExperimentConfig that flat keys fill
+_PARTS = {"ranker": RankerConfig, "selection": SelectionConfig, "cost": CostConfig}
+
+
+def _field(key: str):
+    """(part, field) of a flat config key; part None for ExperimentConfig's own fields."""
+    for part, cls in (*_PARTS.items(), (None, ExperimentConfig)):
+        for f in fields(cls):
+            if f.name == key and key not in _PARTS:
+                return part, f
+    raise ValueError(f"unknown config key {key!r}")
+
+
+# the Python types that a value of each field type may have; a bool is no int or float
+_VALUE_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _check_value(key: str, value, kind: str) -> None:
+    """ValueError naming `key` unless `value` is of the field type `kind`."""
+    base = kind.removesuffix(" | None")
+    if value is None:
+        ok = base != kind
+    elif base == "tuple[int, ...]":  # schedule: a list of ints
+        ok = isinstance(value, (list, tuple)) and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in value
+        )
+    else:
+        ok = isinstance(value, _VALUE_TYPES[base]) and (base == "bool") == isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"config key {key!r}: expected {kind}, got {value!r}")
+
+
+def config_from_dict(data: dict) -> ExperimentConfig:
+    """Build an ExperimentConfig from a flat key-value mapping; ValueError
+    naming the key for an unknown key or a value not of its field's type."""
+    parts: dict[str, dict] = {part: {} for part in _PARTS}
+    exp_args = {}
+    for key, value in data.items():
+        part, f = _field(key)
+        _check_value(key, value, f.type)
+        if part is not None:
+            parts[part][key] = value
+        else:
+            if key == "schedule" and value is not None:
+                value = tuple(value)
+            exp_args[key] = value
+    return ExperimentConfig(
+        **{part: cls(**parts[part]) for part, cls in _PARTS.items()}, **exp_args
+    )
 
 
 def load_run(run_dir: str | Path) -> tuple[ExperimentConfig, str | None, list[IterationState]]:
     """A run directory read back: the ExperimentConfig its config.json was
-    written from, the fingerprint stored with it, and the persisted iterations
-    in order."""
+    written from (read by `config_from_dict`, with the parts' keys flattened),
+    the fingerprint stored with it, and the persisted iterations in order."""
     run_dir = Path(run_dir)
     cfg_path = run_dir / "config.json"
     if not cfg_path.exists():
         raise ValueError(f"no persisted experiment in {run_dir}")
     data = json.loads(cfg_path.read_text(encoding="utf-8"))
-    schedule = data.get("schedule")
-    config = _from_fields(ExperimentConfig, {
-        **data,
-        "schedule": tuple(schedule) if schedule is not None else None,
-        "selection": _from_fields(SelectionConfig, data["selection"]),
-        "ranker": _from_fields(RankerConfig, data["ranker"]),
-        "cost": _from_fields(CostConfig, data["cost"]),
-    })
+    if not isinstance(data, dict):
+        raise ValueError(f"{cfg_path}: expected a JSON object")
+    flat = {k: v for k, v in data.items() if k not in _PARTS and k != "fingerprint"}
+    for part in _PARTS:
+        if not isinstance(data.get(part, {}), dict):
+            raise ValueError(f"{cfg_path}: {part!r} is not a JSON object")
+        flat.update(data.get(part, {}))
+    config = config_from_dict(flat)
     states = [
         IterationState.from_json(json.loads(path.read_text(encoding="utf-8")))
         for path in sorted(run_dir.glob("iter_*.json"))
@@ -616,7 +661,8 @@ class Experiment:
             walk_state, self.bundle.train_queries[qid], candidates, self.bundle.corpus
         )
 
-    def _annotate(self, i: int, sel: Selection, pool: list[str]):
+    def _annotate(self, i: int, sel: Selection, pool: list[str], label: str = "negatives"):
+        """Annotate the picks; query qid draws negatives with seed label `{label}|{qid}`."""
         cfg = self.config
         new_triplets: list[TrainingTriplet] = []
         records: list[anno.AnnotationRecord] = []
@@ -632,7 +678,7 @@ class Experiment:
             reranked = self._rerank_for_annotation(qid, sel.walk_state)
             negatives = self.bundle.negatives[qid].top(cfg.negatives_depth)
             for _, did in group:
-                rng = np.random.default_rng(derive_seed(cfg.master_seed, f"negatives|{qid}", i))
+                rng = np.random.default_rng(derive_seed(cfg.master_seed, f"{label}|{qid}", i))
                 if did is None:
                     triplet, assessments = anno.annotate_query(
                         qid, reranked, negatives, self.bundle.qrels, rng,
@@ -761,33 +807,15 @@ def run_variability(
                 f"size {size} exceeds available training queries ({len(all_queries)})"
             )
         for rep in range(repeats):
-            rng = np.random.default_rng(
-                derive_seed(config.master_seed, f"var-subset|{size}", rep)
+            rng = np.random.default_rng(derive_seed(config.master_seed, f"var-subset|{size}", rep))
+            picked = select_random(all_queries, size, rng)
+            triplets, _, _ = exp._annotate(
+                0, Selection(picked, "query", None), picked, label=f"var-negatives|{size}|{rep}"
             )
-            picked = sorted(select_random(all_queries, size, rng))
-            triplets = []
-            for qid in picked:
-                neg_rng = np.random.default_rng(
-                    derive_seed(config.master_seed, f"var-negatives|{size}|{rep}|{qid}")
-                )
-                candidates = bundle.candidates[qid].top(config.selection.candidate_depth)
-                triplet, _ = anno.annotate_query(
-                    qid,
-                    candidates,
-                    bundle.negatives[qid],
-                    bundle.qrels,
-                    neg_rng,
-                    depth=config.selection.candidate_depth,
-                )
-                if triplet is not None:
-                    triplets.append(triplet)
             if not triplets:
                 raise ValueError(f"no triplets producible for size {size}, seed {rep}")
             state = exp.ranker.train(
-                exp._start_state,
-                triplets,
-                bundle.corpus,
-                bundle.train_queries,
+                exp._start_state, triplets, bundle.corpus, bundle.train_queries,
                 config.ranker.epochs_evaluation,
                 derive_seed(config.master_seed, f"var-train|{size}", rep),
             )

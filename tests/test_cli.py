@@ -1,5 +1,7 @@
 import json
+import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -437,6 +439,64 @@ class TestRunDirectory:
         assert [s.to_json() for s in loaded_states] == [s.to_json() for s in states]
 
 
+@pytest.fixture
+def run_copy(run_dir, tmp_path):
+    """A copy of the finished run directory, free to be damaged."""
+    return Path(shutil.copytree(run_dir, tmp_path / "run"))
+
+
+def edit_config(run, edit) -> None:
+    data = json.loads((run / "config.json").read_text())
+    edit(data)
+    (run / "config.json").write_text(json.dumps(data))
+
+
+class TestPersistedConfig:
+    """config.json is read with --config's type and key checks: a damaged one
+    is one error line naming what is wrong, never a traceback or a summary
+    for other settings."""
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d.update(iterations="3"), "'iterations': expected int, got '3'"),
+        (lambda d: d["selection"].update(stratgy="qbc"), "unknown config key 'stratgy'"),
+        (lambda d: d.update(selection=3), "'selection' is not a JSON object"),
+        (lambda d: d["ranker"].update(dim="512"), "'dim': expected int"),
+    ], ids=["str-iterations", "misspelt-key", "int-part", "str-dim"])
+    @pytest.mark.parametrize("command", ["report", "resume"])
+    def test_error_line(self, run_copy, capsys, command, edit, named):
+        edit_config(run_copy, edit)
+        flag = "--in" if command == "report" else "--out"
+        code, out, err = run_cli(capsys, command, flag, str(run_copy))
+        assert code == 1 and not out
+        assert err.count("\n") == 1 and err.startswith("error: ") and named in err
+
+    def test_not_an_object(self, run_copy, capsys):
+        (run_copy / "config.json").write_text("[1]")
+        code, _, err = run_cli(capsys, "report", "--in", str(run_copy))
+        assert code == 1 and err.startswith("error: ") and "expected a JSON object" in err
+
+    def test_missing_key_takes_its_default(self, run_copy, capsys):
+        edit_config(run_copy, lambda d: (d.pop("cost"), d["ranker"].pop("sigma")))
+        config, _, _ = load_run(run_copy)
+        assert config.cost == CostConfig() and config.ranker.sigma == RankerConfig().sigma
+
+
+class TestResumeDataJson:
+    @pytest.mark.parametrize("text", [
+        '{"kind": "files"}',
+        "[1]",
+        '{"kind": "synthetic", "seed": "0"}',
+        '{"kind": "synthetic", "seed": true}',
+        '{"kind": "tsv", "seed": 0}',
+    ])
+    def test_error_line(self, run_copy, capsys, text):
+        (run_copy / "data.json").write_text(text)
+        code, out, err = run_cli(capsys, "resume", "--out", str(run_copy))
+        assert code == 1 and not out
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "data.json: expected kind 'synthetic' with an int seed" in err
+
+
 class TestRunVariability:
     def test_smoke(self, tmp_path, capsys):
         out = tmp_path / "var"
@@ -448,6 +508,24 @@ class TestRunVariability:
         lines = (out / "variability.csv").read_text().splitlines()
         assert lines[0] == "strategy,size,seed,ndcg10"
         assert len(lines) == 5
+
+    def test_unjudged_train_queries_are_an_error(self, synthetic_dir, tmp_path, capsys):
+        """With qrels for the test queries only, no subset yields a triplet."""
+        test_ids = {line.split("\t")[0]
+                    for line in (synthetic_dir / "queries_test.tsv").read_text().splitlines()}
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("".join(
+            line + "\n" for line in (synthetic_dir / "qrels.txt").read_text().splitlines()
+            if line.split()[0] in test_ids
+        ))
+        code, out, err = run_cli(
+            capsys, "run-variability", "--corpus", str(synthetic_dir / "corpus.tsv"),
+            "--queries", str(synthetic_dir / "queries_train.tsv"),
+            "--test-queries", str(synthetic_dir / "queries_test.tsv"), "--qrels", str(qrels),
+            "--out", str(tmp_path / "var"), "--sizes", "3", "--repeats", "2", *SMALL_RANKER,
+        )
+        assert code == 1 and not out
+        assert err == "error: no triplets producible for size 3, seed 0\n"
 
 
 class TestHelp:

@@ -507,6 +507,11 @@ class TestVariability:
         with pytest.raises(ValueError, match="exceeds"):
             run_variability(tiny_config(), tiny_bundle, sizes=[n + 1], repeats=2)
 
+    def test_subset_without_triplets_rejected(self, unjudged_bundle):
+        # every walk of the subset is skipped: no relevant candidate is judged
+        with pytest.raises(ValueError, match="no triplets producible for size 3, seed 0"):
+            run_variability(tiny_config(), unjudged_bundle, sizes=[3], repeats=2)
+
 
 class TestMakeBundle:
     def test_candidates_are_prefix_of_negatives(self, tiny_data):
