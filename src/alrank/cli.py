@@ -20,6 +20,7 @@ from .experiment import (
     _field,
     _write_replacing,
     config_from_dict,
+    load_config,
     load_run,
     make_bundle,
     report_rows,
@@ -217,7 +218,7 @@ def cmd_run_al(args) -> int:
 
 def cmd_resume(args) -> int:
     out_dir = Path(args.out)
-    config, _, _ = load_run(out_dir)
+    config, _ = load_config(out_dir)  # Experiment.resume reads the iterations
     provenance = _read_provenance(out_dir / "data.json")
     bundle = _bundle_from_provenance(provenance, config)
     states = Experiment(config, bundle, out_dir).resume()

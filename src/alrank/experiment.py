@@ -11,6 +11,15 @@ iteration left never forks and evaluates inline. Either way each branch is
 the same single-threaded sequence of float operations, so every output keeps
 its bits. Iteration i is committed (checkpoint, then JSON) once its nDCG is
 back, after iteration i + 1's selection training.
+
+An `Experiment` takes its `Ranker` from its bundle (`DataBundle.ranker`),
+which keeps one per `RankerConfig` for as long as the bundle lives. Every
+`Experiment` built on one bundle therefore tokenizes, hashes and plans each
+query and candidate list once per bundle, not once per `Experiment`; the
+cached values do not depend on the weights, so every output keeps its bits.
+Each CLI command builds one bundle and one `Experiment` per process, so only
+in-process callers that build several (a run and its resumes, or several
+strategies and seeds, on one bundle) gain.
 """
 
 from __future__ import annotations
@@ -92,9 +101,13 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataBundle:
-    """Corpus, query splits, qrels and precomputed BM25 runs."""
+    """Corpus, query splits, qrels and precomputed BM25 runs, and one `Ranker`
+    per `RankerConfig` (see `ranker`).
+
+    Frozen, so no field changes under a ranker built from it; a
+    `dataclasses.replace` copy starts with no rankers of its own."""
 
     corpus: Corpus
     train_queries: QuerySet
@@ -104,6 +117,17 @@ class DataBundle:
     candidates: Run  # train-query BM25 top candidate_depth
     negatives: Run  # train-query BM25 top negatives_depth
     test_candidates: Run
+    _rankers: dict[RankerConfig, Ranker] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def ranker(self, config: RankerConfig) -> Ranker:
+        """The bundle's `Ranker` for `config`, built with its corpus and index
+        at first use and shared by every `Experiment` on the bundle."""
+        ranker = self._rankers.get(config)
+        if ranker is None:
+            ranker = self._rankers[config] = Ranker(config, self.corpus, self.index)
+        return ranker
 
 
 def make_bundle(
@@ -244,12 +268,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     )
 
 
-def load_run(run_dir: str | Path) -> tuple[ExperimentConfig, str | None, list[IterationState]]:
-    """A run directory read back: the ExperimentConfig its config.json was
-    written from (read by `config_from_dict`, with the parts' keys flattened),
-    the fingerprint stored with it, and the persisted iterations in order."""
-    run_dir = Path(run_dir)
-    cfg_path = run_dir / "config.json"
+def load_config(run_dir: str | Path) -> tuple[ExperimentConfig, str | None]:
+    """A run directory's config.json read back: the ExperimentConfig it was
+    written from (read by `config_from_dict`, with the parts' keys flattened)
+    and the fingerprint stored with it."""
+    cfg_path = Path(run_dir) / "config.json"
     if not cfg_path.exists():
         raise ValueError(f"no persisted experiment in {run_dir}")
     data = json.loads(cfg_path.read_text(encoding="utf-8"))
@@ -260,12 +283,18 @@ def load_run(run_dir: str | Path) -> tuple[ExperimentConfig, str | None, list[It
         if not isinstance(data.get(part, {}), dict):
             raise ValueError(f"{cfg_path}: {part!r} is not a JSON object")
         flat.update(data.get(part, {}))
-    config = config_from_dict(flat)
+    return config_from_dict(flat), data.get("fingerprint")
+
+
+def load_run(run_dir: str | Path) -> tuple[ExperimentConfig, str | None, list[IterationState]]:
+    """A run directory read back: `load_config`'s config and fingerprint, and
+    the persisted iterations in order."""
+    config, fingerprint = load_config(run_dir)
     states = [
         IterationState.from_json(json.loads(path.read_text(encoding="utf-8")))
-        for path in sorted(run_dir.glob("iter_*.json"))
+        for path in sorted(Path(run_dir).glob("iter_*.json"))
     ]
-    return config, data.get("fingerprint"), states
+    return config, fingerprint, states
 
 
 def _cpu_count() -> int:
@@ -426,7 +455,7 @@ class Experiment:
         self.config = config
         self.bundle = bundle
         self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.ranker = Ranker(config.ranker, bundle.corpus, bundle.index)
+        self.ranker = bundle.ranker(config.ranker)
         self._start_state = self._scenario_start()
 
     def _scenario_start(self) -> RankerState:

@@ -3,7 +3,10 @@
 All three share a RankNet pairwise loss and plain SGD. Feature/embedding
 hashing is keyed by a config seed so states are fully reproducible.
 
-A `Ranker` computes what does not depend on the weights once and keeps it:
+A `Ranker` computes what does not depend on the weights once and keeps it.
+The `Ranker` an `Experiment` uses lives as long as its data bundle
+(`experiment.DataBundle.ranker`, one per config), so every `Experiment` built
+on that bundle in one process reuses these caches:
   - per text it tokenizes, `tokenize` runs once. Cross keeps the tokens, one
     interned string per distinct term, so texts sharing a word share its
     object; bi and maxsim keep only the text's token-bucket array.
@@ -149,6 +152,13 @@ class RankerState:
         )
 
 
+def _weights(config: RankerConfig) -> tuple[str, tuple[int, ...]]:
+    """The name and shape of the one weight array of the config's states."""
+    if config.architecture == "cross":
+        return "w", (config.dim,)
+    return "emb", (config.hash_buckets, config.dim)
+
+
 class _Hasher:
     """Seeded token/feature hashing; `raw` and `bucket` are memoized."""
 
@@ -264,19 +274,18 @@ class Ranker:
         self._token_cache: dict[str, tuple[str, ...]] = {}
         self._term_cache: dict[str, tuple[int, float, int, float]] = {}
         self._bucket_cache: dict[str, np.ndarray] = {}
-        self._param = "w" if config.architecture == "cross" else "emb"
+        self._param, self._shape = _weights(config)
 
     # -- state management -------------------------------------------------
 
     def init_state(self, seed: int, zero: bool = False) -> RankerState:
         cfg = self.config
-        shape = (cfg.dim,) if cfg.architecture == "cross" else (cfg.hash_buckets, cfg.dim)
         if zero:
-            weights = np.zeros(shape)
+            weights = np.zeros(self._shape)
         else:
             rng = np.random.default_rng(seed)
             bound = 1.0 / math.sqrt(cfg.dim)
-            weights = rng.uniform(-bound, bound, size=shape)
+            weights = rng.uniform(-bound, bound, size=self._shape)
         return RankerState(
             architecture=cfg.architecture,
             arrays={self._param: weights},
@@ -717,9 +726,18 @@ def load_checkpoint(path, config: RankerConfig | None = None) -> RankerState:
         step=header["step"],
         config_fingerprint=header["config_fingerprint"],
     )
-    if config is not None and config.architecture != state.architecture:
-        raise ValueError(
-            f"checkpoint architecture {state.architecture!r} does not match "
-            f"config {config.architecture!r}"
-        )
+    if config is not None:
+        if config.architecture != state.architecture:
+            raise ValueError(
+                f"checkpoint architecture {state.architecture!r} does not match "
+                f"config {config.architecture!r}"
+            )
+        # a state of another shape would be scored and trained with the
+        # config's hashing without an error
+        name, shape = _weights(config)
+        if shapes.get(name) != shape:
+            raise ValueError(
+                f"checkpoint {path} holds arrays of shapes {shapes}; "
+                f"the config expects {name!r} of shape {shape}"
+            )
     return state

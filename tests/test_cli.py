@@ -1,10 +1,12 @@
 import json
 import shutil
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from alrank import experiment
 from alrank.budget import CostConfig
 from alrank.cli import DESK_PROFILE, _load_config, build_parser, config_from_dict, main
 from alrank.experiment import Experiment, ExperimentConfig, load_run
@@ -365,6 +367,32 @@ class TestRunDirectory:
         code, _, err = run_cli(capsys, "resume", "--out", str(killed))
         assert code == 0, err
         assert run_files(killed) == run_files(full)
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["complete", "cut"])
+    def test_resume_reads_each_iteration_file_once(self, run_copy, monkeypatch, capsys, cut):
+        if cut:
+            for name in ("iter_0002.json", "iter_0002.ckpt"):
+                (run_copy / name).unlink()
+        loads, reads = [], Counter()
+        load_run, read_text = experiment.load_run, Path.read_text
+
+        def counting_load_run(run_dir):
+            loads.append(run_dir)
+            return load_run(run_dir)
+
+        def counting_read_text(self, *args, **kwargs):
+            reads[self.name] += 1
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "load_run", counting_load_run)
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        code, _, err = run_cli(capsys, "resume", "--out", str(run_copy))
+        monkeypatch.undo()
+        assert code == 0, err
+        assert len(loads) == 1
+        read_iterations = {name: n for name, n in reads.items() if name.startswith("iter_")}
+        persisted = ["iter_0001.json"] if cut else ["iter_0001.json", "iter_0002.json"]
+        assert read_iterations == dict.fromkeys(persisted, 1)
 
     def test_evaluation_error_is_reported(self, tmp_path, monkeypatch, capsys):
         """A ValueError from iteration 1's evaluation branch, which runs in the

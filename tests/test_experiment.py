@@ -3,7 +3,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -150,6 +150,13 @@ class TestRunLoop:
         config = tiny_config(scenario="retrain", initial_checkpoint=str(ckpt))
         exp = Experiment(config, tiny_bundle)
         assert exp._start_state == warm
+
+    def test_retrain_checkpoint_of_another_dim_rejected(self, tiny_bundle, tmp_path):
+        ckpt = tmp_path / "wide.ckpt"
+        save_checkpoint(Ranker(replace(TINY_RANKER, dim=128)).init_state(99), ckpt)
+        config = tiny_config(scenario="retrain", initial_checkpoint=str(ckpt))
+        with pytest.raises(ValueError, match=r"wide\.ckpt .*\(128,\).*\(64,\)"):
+            Experiment(config, tiny_bundle)
 
     def test_report_rows_cost_identity(self, tiny_bundle):
         config = tiny_config(iterations=3)
@@ -776,3 +783,62 @@ class TestEvaluationWorker:
         assert str(portable) == "TwoArgs: 1 and 2"
         error = ValueError("bad value")
         assert experiment._portable(error) is error
+
+
+class TestSharedRanker:
+    """A bundle keeps one Ranker per RankerConfig for every Experiment on it;
+    its caches hold only what the weights do not change, so warm caches
+    write the bytes of fresh ones."""
+
+    def test_equal_configs_share_one_ranker(self, tiny_bundle):
+        first = Experiment(tiny_config("random"), tiny_bundle)
+        second = Experiment(tiny_config("qbc", master_seed=5, ranker=replace(TINY_RANKER)),
+                            tiny_bundle)
+        assert first.ranker is second.ranker is tiny_bundle.ranker(TINY_RANKER)
+
+    def test_another_config_or_bundle_copy_gets_another_ranker(self, tiny_bundle, unjudged_bundle):
+        shared = tiny_bundle.ranker(TINY_RANKER)
+        other = tiny_bundle.ranker(replace(TINY_RANKER, dim=32))
+        assert other is not shared and other.config.dim == 32
+        assert replace(tiny_bundle).ranker(TINY_RANKER) is not shared
+        assert Experiment(tiny_config(), unjudged_bundle).ranker is not shared
+
+    def test_bundle_fields_cannot_be_assigned(self, tiny_bundle):
+        with pytest.raises(FrozenInstanceError):
+            tiny_bundle.qrels = Qrels({})
+
+    @pytest.fixture(scope="class")
+    def warm_bundle(self, tiny_data):
+        """A bundle of its own whose cross and maxsim rankers were warmed by
+        runs of every strategy at seeds other than the checked one (0)."""
+        bundle = make_bundle(*tiny_data)
+        for arch in ("cross", "maxsim"):
+            for strategy in STRATEGIES:
+                for seed in (1, 2):
+                    ranker = replace(TINY_RANKER, architecture=arch)
+                    run_experiment(tiny_config(strategy, iterations=4, master_seed=seed,
+                                               ranker=ranker), bundle)
+        return bundle
+
+    @pytest.mark.parametrize("strategy,arch", [
+        ("random", "cross"), ("uncertainty", "cross"), ("qbc", "cross"),
+        ("diversity", "cross"), ("uncertainty", "maxsim"),
+    ])
+    def test_warm_caches_write_the_bytes_of_a_fresh_bundle(
+        self, warm_bundle, tiny_data, tmp_path, strategy, arch
+    ):
+        config = tiny_config(strategy, iterations=4,
+                             ranker=replace(TINY_RANKER, architecture=arch))
+        warm = warm_bundle.ranker(config.ranker)
+        assert warm._plan_cache if arch == "cross" else warm._bucket_cache
+        fresh = write_run(config, make_bundle(*tiny_data), tmp_path / "fresh")
+        assert write_run(config, warm_bundle, tmp_path / "warm") == fresh
+        # a run killed after iteration cut - 1, resumed on the warm bundle
+        for cut in range(1, 5):
+            part = tmp_path / f"cut-{cut}"
+            shutil.copytree(tmp_path / "warm", part)
+            shutil.rmtree(part / "reports")
+            for k in range(cut, 5):
+                (part / f"iter_{k:04d}.json").unlink()
+                (part / f"iter_{k:04d}.ckpt").unlink()
+            assert write_run(config, warm_bundle, part, resume_run=True) == fresh

@@ -926,6 +926,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="architecture"):
             load_checkpoint(path, RankerConfig(architecture="bi"))
 
+    @pytest.mark.parametrize("arch, saved, wanted, found, expected", [
+        ("cross", dict(dim=1024), dict(dim=512), "(1024,)", "(512,)"),
+        ("bi", dict(buckets=64), dict(buckets=48), "(64, 16)", "(48, 16)"),
+        ("maxsim", dict(dim=32), dict(dim=16), "(48, 32)", "(48, 16)"),
+    ])
+    def test_shape_mismatch_names_the_file_and_both_shapes(
+        self, tmp_path, arch, saved, wanted, found, expected
+    ):
+        """A state of another shape would be scored with the config's hashing
+        without an error, so loading it under that config fails."""
+        path = tmp_path / f"{arch}.ckpt"
+        saved_ranker = small_ranker(arch, **saved)
+        save_checkpoint(saved_ranker.init_state(0), path)
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path, small_ranker(arch, **wanted).config)
+        message = str(exc.value)
+        assert str(path) in message and found in message and expected in message
+        assert load_checkpoint(path, saved_ranker.config) == saved_ranker.init_state(0)
+
     def test_scores_identical_after_reload(self, tmp_path):
         corpus = Corpus({"d1": "apple pear", "d2": "kiwi plum fig"})
         queries = QuerySet({"q1": "apple", "q2": "plum fig"})
