@@ -4,13 +4,24 @@ Each iteration i has two dependency chains. The selection chain runs
 select -> annotate -> train `epochs_selection` epochs, and its state is what
 iteration i + 1 selects with. The evaluation branch trains the remaining
 `epochs_evaluation - epochs_selection` epochs from that state and measures
-test nDCG@10; only iteration i's record reads its result. So while iteration
-i + 1 runs its selection chain, iteration i's branch runs in one forked worker
-process, when a second CPU is free (see `_EvaluationWorker`); a run with one
-iteration left never forks and evaluates inline. Either way each branch is
-the same single-threaded sequence of float operations, so every output keeps
-its bits. Iteration i is committed (checkpoint, then JSON) once its nDCG is
-back, after iteration i + 1's selection training.
+test nDCG@10; only iteration i's record reads its result. So while later
+iterations run their selection chains, iteration i's branch runs in one
+forked worker process, when a second CPU is free (see `_EvaluationWorker`); a
+run with one iteration left never forks and evaluates inline. The parent
+stages iteration i's selection state as `iter_i.ckpt.tmp` (in the run
+directory, or in a temporary directory the run owns when it has none) and
+hands the worker its path, so the parent never waits on a branch before its
+last selection training. The last branch has no selection training to
+overlap: when the worker is at least two branches behind (one running, one
+queued), the parent runs it meanwhile; otherwise it goes to the worker. Either
+way each branch is the same single-threaded sequence of float operations, and
+the staged checkpoint is a float64 round trip, so every output keeps its bits.
+
+After each selection training the parent commits, in iteration order, every
+iteration whose nDCG is already back (the staged checkpoint renamed into
+place, then the JSON), without waiting; the rest are committed at the end.
+So iteration i is committed no earlier than iteration i + 1's selection
+training, and a run whose worker is behind commits them all at the end.
 
 An `Experiment` takes its `Ranker` from its bundle (`DataBundle.ranker`),
 which keeps one per `RankerConfig` for as long as the bundle lives. Every
@@ -28,8 +39,11 @@ import hashlib
 import json
 import os
 import pickle
+import select
 import shutil
 import sys
+import tempfile
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from itertools import groupby
 from operator import itemgetter
@@ -333,17 +347,35 @@ def _portable(exc: BaseException) -> BaseException:
     return exc
 
 
+def _read_exactly(fd: int, n: int) -> bytes:
+    """n bytes from `fd`; EOFError if it ends first."""
+    data = b""
+    while len(data) < n:
+        chunk = os.read(fd, n - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
+
+
 class _EvaluationWorker:
     """One child process that runs evaluation branches in order while the
-    parent goes on with the next iteration.
+    parent goes on with the next iterations.
 
-    The child is forked at the first `submit`, and only where this process
+    The child is forked at the first `start`, and only where this process
     may run on two CPUs and can fork safely; otherwise, or if fork fails,
-    `submit` returns False and the caller runs the branch inline. The child
-    reads `(i, triplets, sel_state)` pickles from one pipe and writes each
-    branch's nDCG, or the exception it raised, to another. It never writes to
-    the run directory, ends at EOF or at `close`, and leaves by `os._exit`,
-    so no atexit hook runs and no buffer of the parent is flushed twice.
+    `start` returns False and the caller runs the branch inline. A branch is
+    handed over as `(i, path, new_triplets)`: the selection state the parent
+    staged at `path` with `save_checkpoint`, which the child reads back with
+    `load_checkpoint` (a float64 round trip, so the bits are kept), and
+    iteration i's new triplets, which the child adds to the cumulative set
+    `triplets` it was forked with. A task is a few KB, so writing it into the
+    pipe never waits for a busy child. The child writes each branch's nDCG,
+    or the exception it raised, as a length-prefixed pickle; the parent reads
+    replies from the raw pipe, so `result(block=False)` can tell whether the
+    oldest one is back. The child never writes to the run directory, ends at
+    EOF or at `close`, and leaves by `os._exit`, so no atexit hook runs and no
+    buffer of the parent is flushed twice.
 
     A forked child starts on its parent's CPU. Where the scheduler does not
     balance load between CPUs (a cpuset without load balancing, isolated
@@ -351,8 +383,9 @@ class _EvaluationWorker:
     the CPU its parent ran on at the fork for the others of its mask.
     """
 
-    def __init__(self, branch):
+    def __init__(self, branch, triplets: list[TrainingTriplet]):
         self._branch = branch
+        self._triplets = triplets
         self._pid: int | None = None  # None: not forked yet; 0: run inline
         self._tasks = self._results = None
 
@@ -360,19 +393,27 @@ class _EvaluationWorker:
     def forked(self) -> bool:
         return bool(self._pid)
 
-    def submit(self, *args) -> bool:
+    def start(self) -> bool:
+        """Fork the child at the first call; whether a child takes branches."""
         if self._pid is None:
             self._pid = self._fork()
-        if not self._pid:
-            return False
-        pickle.dump(args, self._tasks, protocol=pickle.HIGHEST_PROTOCOL)
-        self._tasks.flush()
-        return True
+        return self.forked
 
-    def result(self) -> float:
-        """The oldest submitted branch's nDCG; its exception is raised here."""
+    def submit(self, i: int, path: Path, new_triplets: list[TrainingTriplet]) -> None:
         try:
-            reply = pickle.load(self._results)
+            pickle.dump((i, path, new_triplets), self._tasks, protocol=pickle.HIGHEST_PROTOCOL)
+            self._tasks.flush()
+        except BrokenPipeError:
+            raise RuntimeError("evaluation worker exited without a result") from None
+
+    def result(self, block: bool = True) -> float | None:
+        """The oldest submitted branch's nDCG; its exception is raised here.
+        None, unless `block`, while its reply has not begun to arrive."""
+        if not block and not select.select([self._results], [], [], 0)[0]:
+            return None
+        try:
+            size = int.from_bytes(_read_exactly(self._results, 8), "little")
+            reply = pickle.loads(_read_exactly(self._results, size))
         except (EOFError, pickle.UnpicklingError):
             raise RuntimeError("evaluation worker exited without a result") from None
         if isinstance(reply, BaseException):
@@ -389,11 +430,11 @@ class _EvaluationWorker:
             from signal import SIGKILL
 
             os.kill(pid, SIGKILL)
-        for pipe in (self._tasks, self._results):
-            try:
-                pipe.close()  # EOF on the task pipe stops the child
-            except OSError:
-                pass
+        try:
+            self._tasks.close()  # EOF on the task pipe stops the child
+        except OSError:
+            pass
+        os.close(self._results)
         os.waitpid(pid, 0)
 
     def _fork(self) -> int:
@@ -415,7 +456,7 @@ class _EvaluationWorker:
         os.close(task_r)
         os.close(result_w)
         self._tasks = os.fdopen(task_w, "wb")
-        self._results = os.fdopen(result_r, "rb")
+        self._results = result_r
         return pid
 
     def _serve(self, task_fd: int, result_fd: int, parent_cpu: int | None) -> None:
@@ -428,20 +469,23 @@ class _EvaluationWorker:
                     os.sched_setaffinity(0, others)
                 except OSError:
                     pass  # a worker on the parent's CPU still gives the same bytes
+            triplets = self._triplets
             with os.fdopen(task_fd, "rb") as tasks, os.fdopen(result_fd, "wb") as results:
                 while True:
                     try:
-                        args = pickle.load(tasks)
+                        i, path, new_triplets = pickle.load(tasks)
                     except EOFError:
                         break
+                    triplets = triplets + new_triplets
                     try:
-                        reply = self._branch(*args)
+                        reply = self._branch(i, triplets, load_checkpoint(path))
                     except Exception as exc:
                         import traceback
 
                         exc.add_note("".join(traceback.format_exception(exc)).rstrip())
                         reply = _portable(exc)
-                    pickle.dump(reply, results, protocol=pickle.HIGHEST_PROTOCOL)
+                    blob = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+                    results.write(len(blob).to_bytes(8, "little") + blob)
                     results.flush()
             status = 0
         finally:
@@ -483,15 +527,17 @@ class Experiment:
             self.out_dir / "config.json", lambda tmp: tmp.write_text(text, encoding="utf-8")
         )
 
-    def _persist(self, state: IterationState, sel_state: RankerState | None = None) -> None:
-        """Write the iteration's checkpoint (if given), then its JSON, which marks
-        the iteration as committed. A kill leaves each file whole or absent."""
+    def _persist(self, state: IterationState, staged: Path | None = None) -> None:
+        """Commit the iteration: rename its staged checkpoint (see `_run_from`),
+        if given, into place, then write its JSON, which marks the iteration
+        as committed. A kill leaves each file whole or absent. Without a run
+        directory the staged file is deleted."""
         if self.out_dir is None:
+            if staged is not None:
+                staged.unlink()
             return
-        if sel_state is not None:
-            _write_replacing(
-                self.out_dir / state.checkpoint_name, lambda tmp: save_checkpoint(sel_state, tmp)
-            )
+        if staged is not None:
+            os.replace(staged, self.out_dir / state.checkpoint_name)
         text = json.dumps(state.to_json(), sort_keys=True)
         _write_replacing(
             self.out_dir / f"iter_{state.iteration:04d}.json",
@@ -535,21 +581,38 @@ class Experiment:
         for st in states:
             ledger.update(st.iteration, st.records)
 
-        worker = _EvaluationWorker(self._evaluation_branch)
-        pending = None  # (state, sel_state) whose nDCG the worker is computing
+        worker = _EvaluationWorker(self._evaluation_branch, triplets)
+        pending = deque()  # (state, staged checkpoint) of the worker's branches, in order
+        staging = None  # the TemporaryDirectory a run without out_dir stages in
 
-        def commit_pending():
-            nonlocal pending
-            if pending is not None:
-                pending[0].ndcg10 = worker.result()
-                self._persist(*pending)
-                pending = None
+        def stage(state: IterationState, sel_state: RankerState) -> Path:
+            """Write the selection state to `<checkpoint_name>.tmp`, the file
+            the worker loads and the commit renames into place."""
+            nonlocal staging
+            directory = self.out_dir
+            if directory is None:
+                staging = staging or tempfile.TemporaryDirectory(prefix="alrank-")
+                directory = Path(staging.name)
+            path = directory / f"{state.checkpoint_name}.tmp"
+            save_checkpoint(sel_state, path)
+            return path
+
+        def commit(block: bool) -> None:
+            """Commit the worker's iterations whose nDCG is back, in order;
+            with `block`, wait for all of them."""
+            while pending:
+                ndcg = worker.result(block)
+                if ndcg is None:
+                    return
+                state, staged = pending.popleft()
+                state.ndcg10 = ndcg
+                self._persist(state, staged)
 
         start_iter = states[-1].iteration + 1 if states else 1
         try:
             for i in range(start_iter, cfg.iterations + 1):
                 if not pool:
-                    commit_pending()
+                    commit(block=True)
                     if states:
                         states[-1].stop_reason = "pool exhausted"
                         self._persist(states[-1])
@@ -562,7 +625,7 @@ class Experiment:
 
                 sel_state, train_hours = self._train(i, triplets)
                 prev_sel_state = sel_state
-                commit_pending()
+                commit(block=False)
 
                 state = IterationState(
                     iteration=i,
@@ -577,18 +640,28 @@ class Experiment:
                     checkpoint_name=f"iter_{i:04d}.ckpt",
                 )
                 states.append(state)
-                # fork a worker only for a branch a next iteration can overlap;
-                # once forked, it takes every branch, as its caches are warm
-                overlapped = i < cfg.iterations and bool(pool)
-                if (overlapped or worker.forked) and worker.submit(i, triplets, sel_state):
-                    pending = (state, sel_state)
+                # a branch a next iteration overlaps goes to the worker (forked
+                # at the first); the last one too, unless the worker is two
+                # branches behind (one running, one queued): then the parent
+                # runs it while the worker catches up
+                last = i == cfg.iterations or not pool
+                if (not last or worker.forked and len(pending) < 2) and worker.start():
+                    staged = stage(state, sel_state)
+                    pending.append((state, staged))
+                    worker.submit(i, staged, new_triplets)
                 else:
                     state.ndcg10 = self._evaluation_branch(i, triplets, sel_state)
-                    self._persist(state, sel_state)
-            commit_pending()
+                    commit(block=True)
+                    self._persist(state, stage(state, sel_state) if self.out_dir is not None else None)
+            commit(block=True)
         except BaseException:
             worker.close(kill=True)
+            for _, staged in pending:
+                staged.unlink(missing_ok=True)
             raise
+        finally:
+            if staging is not None:
+                staging.cleanup()
         worker.close()
         return states
 
@@ -768,13 +841,15 @@ class Experiment:
         return self.evaluate(sel_state)
 
     def evaluate(self, state: RankerState) -> float:
-        """Mean test nDCG@10 of the given state reranking the BM25 candidates."""
+        """Mean test nDCG@10 of the given state reranking the BM25 candidates.
+        A judged test query without candidates keeps its empty ranking and
+        scores 0."""
         rankings = {}
         for qid, text in self.bundle.test_queries.items():
             candidates = self.bundle.test_candidates[qid]
-            if len(candidates) == 0:
-                continue
-            rankings[qid] = self.ranker.rerank(state, text, candidates, self.bundle.corpus)
+            if len(candidates):
+                candidates = self.ranker.rerank(state, text, candidates, self.bundle.corpus)
+            rankings[qid] = candidates
         run = Run("eval", rankings)
         return ndcg_at_k(run, self.bundle.qrels, k=10).mean
 

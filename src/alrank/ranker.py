@@ -23,8 +23,10 @@ on that bundle in one process reuses these caches:
     index postings, one tf lookup per distinct query term over the list's
     doc ordinals, and never tokenizes those documents. A list with any other
     text (no index, or an ad-hoc text) counts the terms in each doc's tokens.
-  - per `train` call, each triplet's scoring docs and their feature or
-    bucket arrays (`_prepare_triplet`); their signatures come from tokens.
+  - per (query, positive, negative) text triple, the triplet's scoring docs
+    and their feature or bucket arrays (`_prepare_triplet`), so committee,
+    selection and evaluation training prepare each triplet once; their
+    signatures come from tokens.
 The caches only skip recomputing the same values: a signature read from the
 postings is the token count (the index tokenized the same text), and a cross
 feature vector is built with the float operations of the per-call version
@@ -274,6 +276,8 @@ class Ranker:
         self._token_cache: dict[str, tuple[str, ...]] = {}
         self._term_cache: dict[str, tuple[int, float, int, float]] = {}
         self._bucket_cache: dict[str, np.ndarray] = {}
+        # (query, positive, negative) texts -> the prepared triplet
+        self._triplet_cache: dict[tuple[str, str, str], _Triplet] = {}
         self._param, self._shape = _weights(config)
 
     # -- state management -------------------------------------------------
@@ -487,11 +491,16 @@ class Ranker:
         return ranknet_loss(s_pos, s_neg, self.config.sigma), {self._param: grad}
 
     def _prepare_triplet(self, query_text: str, pos_text: str, neg_text: str) -> _Triplet:
-        """The part of a triplet's gradient that does not depend on the weights.
+        """The part of a triplet's gradient that does not depend on the weights,
+        built once per text triple.
 
         A doc with no tokens, or a query with none, scores 0 and is left out
         of `docs`.
         """
+        key = (query_text, pos_text, neg_text)
+        cached = self._triplet_cache.get(key)
+        if cached is not None:
+            return cached
         arch = self.config.architecture
         if arch == "cross":
             qb = None
@@ -509,7 +518,8 @@ class Ranker:
                 if qb.size and db.size
             )
             size = sum(qb.size + (qb.size if arch == "maxsim" else db.size) for _, db in docs)
-        return _Triplet(qb, docs, size)
+        cached = self._triplet_cache[key] = _Triplet(qb, docs, size)
+        return cached
 
     def _batch_gradient(
         self, weights: np.ndarray, batch: list[_Triplet], grads: np.ndarray
@@ -629,8 +639,8 @@ class Ranker:
         only the rows its triplets touch, and the update changes only those
         rows. The result is bit-identical to summing dense per-triplet
         gradients into a dense batch gradient and updating every row (see the
-        module docstring). Each triplet is prepared once per call
-        (`_prepare_triplet`), not once per epoch.
+        module docstring). Each triplet is prepared once per ranker
+        (`_prepare_triplet`), not once per call or epoch.
         """
         if not triplets:
             raise ValueError("cannot train on an empty triplet list")

@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import tempfile
+import time
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -215,6 +216,36 @@ def test_tripletless_run_goes_to_the_end(unjudged_bundle, strategy):
     assert all(not s.triplets and s.training_hours == 0.0 for s in states)
     exp = Experiment(tiny_config(strategy), unjudged_bundle)
     assert {s.ndcg10 for s in states} == {exp.evaluate(exp._start_state)}
+
+
+def with_hitless_test_queries(tiny_data, keep_test_queries):
+    """A bundle whose test set gains judged queries that no document matches
+    (first in test-query order), with or without the original test queries."""
+    corpus, train_q, test_q, qrels = tiny_data
+    hitless = {"hitless-test0": "unseen absent", "hitless-test1": "nowhere missing"}
+    texts = {**hitless, **(dict(test_q.items()) if keep_test_queries else {})}
+    judged = {(qid, did): 1 for qid in hitless for did in corpus.ids()[:2]}
+    return make_bundle(corpus, train_q, QuerySet(texts), Qrels({**dict(qrels.items()), **judged}))
+
+
+def test_judged_hitless_test_queries_score_zero(tiny_data, tiny_bundle):
+    bundle = with_hitless_test_queries(tiny_data, keep_test_queries=True)
+    assert len(bundle.test_candidates["hitless-test0"]) == 0
+    exp, base = Experiment(tiny_config(), bundle), Experiment(tiny_config(), tiny_bundle)
+    n = len(tiny_bundle.test_queries)
+    trained, _ = base._train(1, run_experiment(tiny_config(), tiny_bundle)[-1].triplets)
+    for state in (base._start_state, trained):
+        without = base.evaluate(state)
+        # two more queries in the mean, each scoring 0
+        assert exp.evaluate(state) == pytest.approx(without * n / (n + 2), rel=1e-12)
+        assert 0 < exp.evaluate(state) < without
+
+
+def test_test_set_of_only_hitless_queries_runs_to_the_end(tiny_data):
+    bundle = with_hitless_test_queries(tiny_data, keep_test_queries=False)
+    states = run_experiment(tiny_config("uncertainty", iterations=3), bundle)
+    assert [s.iteration for s in states] == [1, 2, 3]
+    assert all(s.ndcg10 == 0.0 for s in states)
 
 
 @pytest.mark.parametrize("arch", ["cross", "maxsim"])
@@ -551,6 +582,18 @@ def write_run(config, bundle, out_dir, resume_run=False):
     }
 
 
+# how long a test's process waits for a flag file of the other one; a wait
+# that runs out leaves the process on the wrong side, and the test fails
+WAIT_S = 30.0
+
+
+def wait_for(flag: Path) -> None:
+    """Sleep until `flag` exists, at most WAIT_S seconds."""
+    deadline = time.monotonic() + WAIT_S
+    while not flag.exists() and time.monotonic() < deadline:
+        time.sleep(0.002)
+
+
 def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):
@@ -606,58 +649,178 @@ class TestEvaluationWorker:
         assert sorted(inline)[:3] == ["config.json", "iter_0001.ckpt", "iter_0001.json"]
         assert "reports/results.csv" in inline
 
+    @staticmethod
+    def force_side(monkeypatch, flags: Path, slow: str, last: int) -> list[int]:
+        """Make one process wait for the other, by flag files in `flags`, so
+        that the last branch (iteration `last`) runs on a known side. With
+        slow "worker", the worker holds branch 1 until the parent has run a
+        branch; with slow "parent", the parent holds its last selection
+        training until the worker has run branch `last - 1`. Returns the list
+        the parent appends each branch it runs to."""
+        parent, parent_branches = os.getpid(), []
+        branch, train = Experiment._evaluation_branch, Experiment._train
+
+        def timed_branch(self, i, triplets, sel_state):
+            if os.getpid() == parent:
+                parent_branches.append(i)
+                (flags / "parent-branch").touch()
+            elif slow == "worker" and i == 1:
+                wait_for(flags / "parent-branch")
+            ndcg = branch(self, i, triplets, sel_state)
+            if os.getpid() != parent:
+                (flags / f"worker-branch-{i}").touch()
+            return ndcg
+
+        def timed_train(self, i, triplets):
+            if slow == "parent" and i == last and os.getpid() == parent:
+                wait_for(flags / f"worker-branch-{last - 1}")
+            return train(self, i, triplets)
+
+        monkeypatch.setattr(Experiment, "_evaluation_branch", timed_branch)
+        monkeypatch.setattr(Experiment, "_train", timed_train)
+        return parent_branches
+
+    @pytest.mark.parametrize("slow", ["worker", "parent"])
     @pytest.mark.parametrize("arch", ["cross", "maxsim"])
     def test_worker_evaluates_the_states_inline_evaluation_does(
-        self, tiny_bundle, monkeypatch, forks, arch
+        self, tiny_bundle, tmp_path, monkeypatch, forks, arch, slow
     ):
         """On tiny data two evaluation states can share an nDCG, so here
-        `evaluate` returns a digest of the state it is given. Given a worker,
-        every branch runs there, the last one included."""
+        `evaluate` returns a digest of the state it is given. The worker's
+        branches load their states from the staged checkpoints (of a
+        temporary directory: the run has none); the last branch runs where
+        the waits force it."""
 
         def state_digest(self, state):
             blob = b"".join(state.arrays[k].tobytes() for k in sorted(state.arrays))
             return int.from_bytes(hashlib.sha256(blob).digest()[:6], "little") / 2**48
 
-        branch, parent_branches = Experiment._evaluation_branch, []
-
-        def parent_branch(self, i, triplets, sel_state):
-            parent_branches.append(i)  # the worker appends to its own copy
-            return branch(self, i, triplets, sel_state)
-
         monkeypatch.setattr(Experiment, "evaluate", state_digest)
-        monkeypatch.setattr(Experiment, "_evaluation_branch", parent_branch)
         config = tiny_config(
             "uncertainty", iterations=4, ranker=replace(TINY_RANKER, architecture=arch)
         )
         forks.cpus(1)
         inline = [s.to_json() for s in run_experiment(config, tiny_bundle)]
-        assert parent_branches == [1, 2, 3, 4]
         assert len({s["ndcg10"] for s in inline}) == 4
-        parent_branches.clear()
         forks.cpus(2)
+        parent_branches = self.force_side(monkeypatch, tmp_path, slow, last=4)
         assert [s.to_json() for s in run_experiment(config, tiny_bundle)] == inline
-        assert parent_branches == [] and len(forks) == 1
+        assert parent_branches == ([4] if slow == "worker" else []) and len(forks) == 1
+        assert_reaped(forks)
 
-    @pytest.mark.parametrize("cpus,committed", [
-        (1, {1: 0, 2: 1, 3: 2, 4: 3}),
-        (2, {1: 0, 2: 0, 3: 1, 4: 2}),
-    ])
+    @pytest.mark.parametrize("cpus", [1, 2])
     def test_iteration_is_committed_after_the_next_selection_training(
-        self, tiny_bundle, tmp_path, monkeypatch, forks, cpus, committed
+        self, tiny_bundle, tmp_path, monkeypatch, forks, cpus
     ):
-        """Inline, iteration i is committed before iteration i + 1 trains; with
-        the worker, once iteration i + 1's selection training is done."""
-        train, seen = Experiment._train, {}
+        """Inline, iteration i is committed right after its own selection
+        training; with the worker, in iteration order and never before
+        iteration i + 1's selection training is done."""
+        train, persist, trained, commits = Experiment._train, Experiment._persist, [], []
 
         def recording_train(self, i, triplets):
-            seen[i] = len(list(tmp_path.glob("iter_*.json")))
-            return train(self, i, triplets)
+            result = train(self, i, triplets)
+            trained.append(i)
+            return result
+
+        def recording_persist(self, state, *args):
+            commits.append((state.iteration, len(trained)))
+            return persist(self, state, *args)
 
         monkeypatch.setattr(Experiment, "_train", recording_train)
+        monkeypatch.setattr(Experiment, "_persist", recording_persist)
         forks.cpus(cpus)
         run_experiment(tiny_config(iterations=4), tiny_bundle, tmp_path)
-        assert seen == committed
-        assert len(list(tmp_path.glob("iter_*.json"))) == 4
+        assert [i for i, _ in commits] == [1, 2, 3, 4]
+        if cpus == 1:
+            assert commits == [(1, 1), (2, 2), (3, 3), (4, 4)]
+        else:
+            assert all(done >= min(i + 1, 4) for i, done in commits)
+        assert sorted(p.name for p in tmp_path.iterdir())[1:] == [
+            f"iter_{i:04d}.{suffix}" for i in range(1, 5) for suffix in ("ckpt", "json")
+        ]
+
+    @pytest.mark.parametrize("strategy,arch", [("random", "cross"), ("uncertainty", "maxsim")])
+    def test_slow_worker_leaves_the_last_branch_to_the_parent(
+        self, tiny_bundle, tmp_path, monkeypatch, forks, strategy, arch
+    ):
+        """The worker is still on branch 1 when the parent ends its last
+        selection training: every selection training ends with nothing
+        committed, and with two branches ahead in the worker the parent runs
+        the last one. The directory has the inline run's bytes."""
+        config = tiny_config(
+            strategy, iterations=4, ranker=replace(TINY_RANKER, architecture=arch)
+        )
+        forks.cpus(1)
+        inline = write_run(config, tiny_bundle, tmp_path / "inline")
+        forks.cpus(2)
+        parent_branches = self.force_side(monkeypatch, tmp_path, "worker", last=4)
+        train, committed = Experiment._train, {}
+        run_dir = tmp_path / "worker"
+
+        def recording_train(self, i, triplets):
+            result = train(self, i, triplets)
+            committed[i] = len(list(run_dir.glob("iter_*.json")))
+            return result
+
+        monkeypatch.setattr(Experiment, "_train", recording_train)
+        assert write_run(config, tiny_bundle, run_dir) == inline
+        assert committed == {1: 0, 2: 0, 3: 0, 4: 0}
+        assert parent_branches == [4]
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("strategy,arch", [("random", "cross"), ("uncertainty", "maxsim")])
+    def test_slow_parent_leaves_the_last_branch_to_the_worker(
+        self, tiny_bundle, tmp_path, monkeypatch, forks, strategy, arch
+    ):
+        """The worker has run branch 3 before the parent ends its last
+        selection training, so at most one branch is ahead of the last one
+        and the worker runs it too."""
+        config = tiny_config(
+            strategy, iterations=4, ranker=replace(TINY_RANKER, architecture=arch)
+        )
+        forks.cpus(1)
+        inline = write_run(config, tiny_bundle, tmp_path / "inline")
+        forks.cpus(2)
+        parent_branches = self.force_side(monkeypatch, tmp_path, "parent", last=4)
+        assert write_run(config, tiny_bundle, tmp_path / "worker") == inline
+        assert parent_branches == []
+        assert (tmp_path / "worker-branch-4").exists()
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_failing_selection_training_with_two_branches_queued(
+        self, tiny_bundle, tmp_path, monkeypatch, forks
+    ):
+        """The worker holds branch 1, with branches 2 and 3 queued, when
+        iteration 4's selection training raises: the worker is killed, no
+        iteration is committed, no staged checkpoint is left, and a resume
+        writes the uninterrupted run's bytes."""
+        config = tiny_config("uncertainty", iterations=4)
+        forks.cpus(2)
+        full = write_run(config, tiny_bundle, tmp_path / "full")
+        parent, branch, train = os.getpid(), Experiment._evaluation_branch, Experiment._train
+
+        def held_branch(self, i, triplets, sel_state):
+            if os.getpid() != parent and i == 1:
+                wait_for(tmp_path / "never")  # until the worker is killed
+            return branch(self, i, triplets, sel_state)
+
+        def failing_train(self, i, triplets):
+            if i == 4:
+                raise BranchFailed("selection training of iteration 4 failed")
+            return train(self, i, triplets)
+
+        monkeypatch.setattr(Experiment, "_evaluation_branch", held_branch)
+        monkeypatch.setattr(Experiment, "_train", failing_train)
+        with pytest.raises(BranchFailed, match="iteration 4"):
+            run_experiment(config, tiny_bundle, tmp_path / "part")
+        assert sorted(p.name for p in (tmp_path / "part").iterdir()) == ["config.json"]
+        monkeypatch.setattr(Experiment, "_evaluation_branch", branch)
+        monkeypatch.setattr(Experiment, "_train", train)
+        assert write_run(config, tiny_bundle, tmp_path / "part", resume_run=True) == full
+        assert len(forks) == 3
+        assert_reaped(forks)
 
     def test_resume_from_a_cut_takes_the_worker_path(self, tiny_bundle, tmp_path, forks):
         config = tiny_config("uncertainty", iterations=4)

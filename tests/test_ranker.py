@@ -523,6 +523,30 @@ class TestSparseTrainingExactness:
         assert trained != state
 
     @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    def test_warm_ranker_trains_to_the_state_of_a_fresh_one(self, arch):
+        # earlier calls on overlapping subsets, from other states and seeds,
+        # prepare every triplet, so the checked call takes each from the memo
+        triplets, corpus, queries = _realistic_training_data(seed=8, n_triplets=60)
+        warm, fresh = (
+            small_ranker(arch, dim=32, buckets=16, batch_size=8, learning_rate=0.3)
+            for _ in range(2)
+        )
+        for k, subset in enumerate((triplets[:40], triplets[20:])):
+            warm.train(warm.init_state(k), subset, corpus, queries, 2, k)
+        texts = {(queries[t.query_id], corpus[t.positive_id], corpus[t.negative_id])
+                 for t in triplets}
+        assert warm._triplet_cache.keys() == texts
+        prepared = dict(warm._triplet_cache)
+        state = fresh.init_state(6)
+        args = (triplets, corpus, queries, 3, 4)
+        got, want = warm.train(state, *args), fresh.train(state, *args)
+        assert got.step == want.step
+        assert all(_same_bytes(got.arrays[k], want.arrays[k]) for k in want.arrays)
+        assert all(warm._triplet_cache[key] is value for key, value in prepared.items())
+        assert all(_same_bytes(got.arrays[k], v) for k, v in
+                   _oracle_train(fresh, state, *args).arrays.items())
+
+    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
     def test_realistic_width_equals_dense_oracle_bytes(self, arch):
         triplets, corpus, queries = _realistic_training_data(seed=3)
         ranker = small_ranker(arch, dim=64, buckets=16, batch_size=32, learning_rate=0.3)
