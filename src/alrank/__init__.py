@@ -20,8 +20,6 @@ from .experiment import (
     Experiment,
     ExperimentConfig,
     make_bundle,
-    resume,
-    run_experiment,
     run_variability,
 )
 from .lexical import build_index, retrieve_topk, tokenize

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, fields
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Qrels, RankedList, TrainingTriplet, write_csv
+from .datamodel import Qrels, RankedList, TrainingTriplet
 
 
 @dataclass(frozen=True)
@@ -112,53 +113,17 @@ def annotate_pair(
 LEDGER_COLUMNS = [f.name for f in fields(AnnotationRecord)]
 
 
-@dataclass
-class AssessmentLedger:
-    """Per-iteration assessment counts with cumulative totals A(i)."""
-
-    records: list[AnnotationRecord] = field(default_factory=list)
-    per_iteration: dict[int, int] = field(default_factory=dict)
-
-    def cumulative(self, iteration: int) -> int:
-        return sum(c for i, c in self.per_iteration.items() if i <= iteration)
-
-    def update(self, iteration: int, results: list[AnnotationRecord]) -> None:
-        if self.per_iteration and iteration <= max(self.per_iteration):
-            raise ValueError(
-                f"iteration {iteration} not after recorded iterations "
-                f"{sorted(self.per_iteration)}"
-            )
-        for r in results:
-            if r.iteration != iteration:
-                raise ValueError(
-                    f"record for iteration {r.iteration} in update for {iteration}"
-                )
-        self.per_iteration[iteration] = sum(r.assessments for r in results)
-        self.records.extend(results)
-
-    def save_csv(self, path: str | Path) -> None:
-        write_csv(path, LEDGER_COLUMNS, map(astuple, self.records))
-
-    @classmethod
-    def load_csv(cls, path: str | Path) -> "AssessmentLedger":
-        ledger = cls()
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in LEDGER_COLUMNS if c not in (reader.fieldnames or [])]
-            if missing:
-                raise ValueError(f"{path}: assessment ledger lacks columns {', '.join(missing)}")
-            rows = list(reader)
-        by_iteration: dict[int, list[AnnotationRecord]] = {}
-        for row in rows:
-            rec = AnnotationRecord(
-                iteration=int(row["iteration"]),
-                query_id=row["query_id"],
-                outcome=row["outcome"],
-                assessments=int(row["assessments"]),
-                positive_id=row["positive_id"],
-                negative_id=row["negative_id"],
-            )
-            by_iteration.setdefault(rec.iteration, []).append(rec)
-        for iteration in sorted(by_iteration):
-            ledger.update(iteration, by_iteration[iteration])
-        return ledger
+def read_assessment_totals(path: str | Path) -> dict[int, int]:
+    """An assessments.csv read back: the cumulative assessments A(i) of each
+    iteration, in iteration order."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in LEDGER_COLUMNS if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"{path}: assessment ledger lacks columns {', '.join(missing)}")
+        per_iteration: dict[int, int] = {}
+        for row in reader:
+            i = int(row["iteration"])
+            per_iteration[i] = per_iteration.get(i, 0) + int(row["assessments"])
+    iterations = sorted(per_iteration)
+    return dict(zip(iterations, accumulate(per_iteration[i] for i in iterations)))

@@ -1,4 +1,8 @@
-"""Command-line entry point: data prep, retrieval, experiments, cost reports."""
+"""Command-line entry point: data prep, retrieval, experiments, cost reports.
+
+Each command turns its arguments into calls; the run directory that run-al,
+resume and report use is written and read by the experiment module.
+"""
 
 from __future__ import annotations
 
@@ -8,22 +12,20 @@ import sys
 from pathlib import Path
 
 from . import datamodel, lexical, synthetic
-from .annotation import AssessmentLedger
+from .annotation import read_assessment_totals
 from .budget import annotation_cost, total_cost
 from .evaluation import emit_reports
 from .experiment import (
+    DATA_FILES,
     SCENARIOS,
-    DataBundle,
-    Experiment,
     ExperimentConfig,
     IterationState,
-    _field,
-    _write_replacing,
+    bundle_from_provenance,
     config_from_dict,
-    load_config,
-    load_run,
-    make_bundle,
-    report_rows,
+    parse_override,
+    report_al,
+    resume_al,
+    run_al,
     run_variability,
 )
 from .selection import STRATEGIES
@@ -36,22 +38,6 @@ DESK_PROFILE = {
     "epochs_evaluation": 50,
     "batch_size": 32,
 }
-
-
-def _parse_override(key: str, text: str):
-    """A `--set` value read as the type of the config field `key`."""
-    kind = _field(key)[1].type
-    if kind.endswith(" | None") and text.lower() == "none":
-        return None
-    base = kind.removesuffix(" | None")
-    try:
-        if base == "bool":
-            return {"true": True, "false": False}[text.lower()]
-        if base == "tuple[int, ...]":  # schedule: comma-separated ints
-            return tuple(int(v) for v in text.split(","))
-        return {"int": int, "float": float, "str": str}[base](text)
-    except (KeyError, ValueError):
-        raise ValueError(f"--set {key}={text}: expected {kind}") from None
 
 
 # config key -> the run-al argument that sets it
@@ -78,69 +64,18 @@ def _load_config(args) -> ExperimentConfig:
         value = getattr(args, arg, None)
         if value is not None:
             data[key] = value
-    for override in getattr(args, "set", None) or []:
-        if "=" not in override:
-            raise ValueError(f"override must be key=value, got {override!r}")
-        key, value = override.split("=", 1)
-        data[key] = _parse_override(key, value)
+    data.update(parse_override(override) for override in getattr(args, "set", None) or [])
     return config_from_dict(data)
 
 
-# the data files a "files" provenance names
-_FILES = ("corpus", "queries", "test_queries", "qrels")
-
-
 def _provenance_from_args(args) -> dict:
-    """Where the data comes from, as data.json records it."""
+    """Where the data comes from: the provenance that `run_al` records."""
     if getattr(args, "synthetic", False):
         return {"kind": "synthetic", "seed": getattr(args, "synthetic_seed", 0) or 0}
-    for name in _FILES:
+    for name in DATA_FILES:
         if getattr(args, name, None) is None:
             raise ValueError(f"missing required path: --{name.replace('_', '-')}")
-    return {"kind": "files", **{name: str(getattr(args, name)) for name in _FILES}}
-
-
-def _read_provenance(path: Path) -> dict:
-    """data.json read back; ValueError naming it unless it holds what
-    `_provenance_from_args` writes."""
-    data = json.loads(path.read_text(encoding="utf-8"))
-    kind = data.get("kind") if isinstance(data, dict) else None
-    if kind == "synthetic":
-        ok = type(data.get("seed")) is int  # a bool is no seed
-    else:
-        ok = kind == "files" and all(isinstance(data.get(n), str) for n in _FILES)
-    if not ok:
-        raise ValueError(
-            f"{path}: expected kind 'synthetic' with an int seed, or 'files' with "
-            f"path strings {', '.join(_FILES)}; got {data!r}"
-        )
-    return data
-
-
-def _bundle_from_provenance(provenance: dict, config: ExperimentConfig) -> DataBundle:
-    if provenance["kind"] == "synthetic":
-        corpus, train_q, test_q, qrels = synthetic.generate_synthetic(
-            synthetic.DESK_SPEC, provenance["seed"]
-        )
-    else:
-        corpus = datamodel.parse_collection(provenance["corpus"])
-        train_q = datamodel.parse_queries(provenance["queries"])
-        test_q = datamodel.parse_queries(provenance["test_queries"])
-        qrels = datamodel.parse_qrels(provenance["qrels"])
-    return make_bundle(
-        corpus, train_q, test_q, qrels,
-        candidate_depth=config.selection.candidate_depth,
-        negatives_depth=config.negatives_depth,
-    )
-
-
-def _write_run_outputs(config: ExperimentConfig, states: list[IterationState], out_dir: Path) -> None:
-    ledger = AssessmentLedger()
-    for st in states:
-        ledger.update(st.iteration, st.records)
-    ledger.save_csv(out_dir / "assessments.csv")
-    exp_rows = report_rows(config, states, seed_label=config.master_seed)
-    emit_reports(exp_rows, out_dir / "reports")
+    return {"kind": "files", **{name: str(getattr(args, name)) for name in DATA_FILES}}
 
 
 def _print_summary(states: list[IterationState]) -> None:
@@ -202,28 +137,12 @@ def cmd_make_synthetic(args) -> int:
 
 
 def cmd_run_al(args) -> int:
-    config = _load_config(args)
-    provenance = _provenance_from_args(args)
-    bundle = _bundle_from_provenance(provenance, config)
-    out_dir = Path(args.out)
-    # data.json first, so that `resume` can rebuild the bundle after a kill
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(provenance, sort_keys=True)
-    _write_replacing(out_dir / "data.json", lambda tmp: tmp.write_text(text, encoding="utf-8"))
-    states = Experiment(config, bundle, out_dir).run()
-    _write_run_outputs(config, states, out_dir)
-    _print_summary(states)
+    _print_summary(run_al(_load_config(args), _provenance_from_args(args), args.out))
     return 0
 
 
 def cmd_resume(args) -> int:
-    out_dir = Path(args.out)
-    config, _ = load_config(out_dir)  # Experiment.resume reads the iterations
-    provenance = _read_provenance(out_dir / "data.json")
-    bundle = _bundle_from_provenance(provenance, config)
-    states = Experiment(config, bundle, out_dir).resume()
-    _write_run_outputs(config, states, out_dir)
-    _print_summary(states)
+    _print_summary(resume_al(args.out))
     return 0
 
 
@@ -234,8 +153,8 @@ def cmd_cost_calc(args) -> int:
         return 0
     if not args.ledger:
         raise ValueError("either --assessments or --ledger is required")
-    ledger = AssessmentLedger.load_csv(args.ledger)
-    iterations = sorted(ledger.per_iteration)
+    totals = read_assessment_totals(args.ledger)
+    iterations = list(totals)
     gpu_hours = [0.0] * len(iterations)
     if args.gpu_hours:
         gpu_hours = [float(h) for h in args.gpu_hours.split(",")]
@@ -243,9 +162,7 @@ def cmd_cost_calc(args) -> int:
             raise ValueError(
                 f"--gpu-hours needs {len(iterations)} comma-separated values"
             )
-    report = total_cost(
-        {i: ledger.cumulative(i) for i in iterations}, dict(zip(iterations, gpu_hours)), cost
-    )
+    report = total_cost(totals, dict(zip(iterations, gpu_hours)), cost)
     print(f"{'iter':>4} {'A(i)':>8} {'C_A':>12} {'C_C':>12} {'C':>12}")
     for row in report.rows:
         print(
@@ -259,12 +176,10 @@ def cmd_cost_calc(args) -> int:
 
 def cmd_run_variability(args) -> int:
     config = _load_config(args)
-    bundle = _bundle_from_provenance(_provenance_from_args(args), config)
+    bundle = bundle_from_provenance(_provenance_from_args(args), config)
     sizes = [int(s) for s in args.sizes.split(",")]
     records = run_variability(config, bundle, sizes, repeats=args.repeats)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emit_reports([], out_dir, variability=records)
+    emit_reports([], args.out, variability=records)
     print(f"{'size':>6} {'seed':>4} {'ndcg@10':>8}")
     for r in records:
         print(f"{r['size']:>6} {r['seed']:>4} {r['ndcg10']:>8.4f}")
@@ -272,11 +187,7 @@ def cmd_run_variability(args) -> int:
 
 
 def cmd_report(args) -> int:
-    run_dir = Path(args.input)
-    config, _, states = load_run(run_dir)
-    if not states:
-        raise ValueError(f"no iteration states in {run_dir}")
-    _write_run_outputs(config, states, run_dir)
+    config, states = report_al(args.input)
     print(f"strategy={config.selection.strategy} scenario={config.scenario}")
     _print_summary(states)
     return 0

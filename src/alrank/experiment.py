@@ -31,6 +31,10 @@ cached values do not depend on the weights, so every output keeps its bits.
 Each CLI command builds one bundle and one `Experiment` per process, so only
 in-process callers that build several (a run and its resumes, or several
 strategies and seeds, on one bundle) gain.
+
+This module owns the run directory: `run_al`, `resume_al` and `report_al`
+write `data.json`, `config.json`, `iter_*`, `assessments.csv` and `reports/`,
+and `load_run` is the one reader of `config.json` and `iter_*.json`.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import shutil
 import sys
 import tempfile
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -52,9 +56,10 @@ from pathlib import Path
 import numpy as np
 
 from . import annotation as anno
+from . import datamodel, synthetic
 from .budget import CostConfig, total_cost
-from .datamodel import Corpus, Qrels, QuerySet, RankedList, Run, TrainingTriplet
-from .evaluation import ndcg_at_k
+from .datamodel import Corpus, Qrels, QuerySet, RankedList, Run, TrainingTriplet, write_csv
+from .evaluation import emit_reports, ndcg_at_k
 from .lexical import InvertedIndex, build_index, retrieve_topk
 from .ranker import Ranker, RankerConfig, RankerState, load_checkpoint, save_checkpoint
 from .selection import (
@@ -128,8 +133,7 @@ class DataBundle:
     test_queries: QuerySet
     qrels: Qrels
     index: InvertedIndex
-    candidates: Run  # train-query BM25 top candidate_depth
-    negatives: Run  # train-query BM25 top negatives_depth
+    negatives: Run  # train-query BM25 top negatives_depth; walks read its top candidate_depth
     test_candidates: Run
     _rankers: dict[RankerConfig, Ranker] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -153,11 +157,10 @@ def make_bundle(
     negatives_depth: int = 1000,
 ) -> DataBundle:
     index = build_index(corpus)
-    candidates, negatives = {}, {}
-    for qid, text in train_queries.items():
-        full = retrieve_topk(index, text, negatives_depth, query_id=qid)
-        negatives[qid] = full
-        candidates[qid] = full.top(candidate_depth)
+    negatives = {
+        qid: retrieve_topk(index, text, negatives_depth, query_id=qid)
+        for qid, text in train_queries.items()
+    }
     test_candidates = {
         qid: retrieve_topk(index, text, candidate_depth, query_id=qid)
         for qid, text in test_queries.items()
@@ -168,16 +171,15 @@ def make_bundle(
         test_queries=test_queries,
         qrels=qrels,
         index=index,
-        candidates=Run("bm25-candidates", candidates),
         negatives=Run("bm25-negatives", negatives),
         test_candidates=Run("bm25-test", test_candidates),
     )
 
 
-def _write_replacing(path: Path, write) -> None:
-    """write(tmp) to a sibling temp file, then rename it over `path` in one step."""
+def _write_text(path: Path, text: str) -> None:
+    """`text` to a sibling temp file, then renamed over `path` in one step."""
     tmp = path.with_name(path.name + ".tmp")
-    write(tmp)
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
@@ -263,6 +265,26 @@ def _check_value(key: str, value, kind: str) -> None:
         raise ValueError(f"config key {key!r}: expected {kind}, got {value!r}")
 
 
+def parse_override(override: str) -> tuple[str, object]:
+    """A `--set KEY=VALUE` override: the key, and the value read as the type
+    of its config field."""
+    if "=" not in override:
+        raise ValueError(f"override must be key=value, got {override!r}")
+    key, text = override.split("=", 1)
+    kind = _field(key)[1].type
+    if kind.endswith(" | None") and text.lower() == "none":
+        return key, None
+    base = kind.removesuffix(" | None")
+    try:
+        if base == "bool":
+            return key, {"true": True, "false": False}[text.lower()]
+        if base == "tuple[int, ...]":  # schedule: comma-separated ints
+            return key, tuple(int(v) for v in text.split(","))
+        return key, {"int": int, "float": float, "str": str}[base](text)
+    except (KeyError, ValueError):
+        raise ValueError(f"--set {key}={text}: expected {kind}") from None
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a flat key-value mapping; ValueError
     naming the key for an unknown key or a value not of its field's type."""
@@ -282,10 +304,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     )
 
 
-def load_config(run_dir: str | Path) -> tuple[ExperimentConfig, str | None]:
-    """A run directory's config.json read back: the ExperimentConfig it was
-    written from (read by `config_from_dict`, with the parts' keys flattened)
-    and the fingerprint stored with it."""
+def load_run(run_dir: str | Path) -> tuple[ExperimentConfig, str | None, list[IterationState]]:
+    """A run directory read back: the ExperimentConfig config.json was written
+    from (read by `config_from_dict`, with the parts' keys flattened), the
+    fingerprint stored with it, and the persisted iterations in order."""
     cfg_path = Path(run_dir) / "config.json"
     if not cfg_path.exists():
         raise ValueError(f"no persisted experiment in {run_dir}")
@@ -297,18 +319,52 @@ def load_config(run_dir: str | Path) -> tuple[ExperimentConfig, str | None]:
         if not isinstance(data.get(part, {}), dict):
             raise ValueError(f"{cfg_path}: {part!r} is not a JSON object")
         flat.update(data.get(part, {}))
-    return config_from_dict(flat), data.get("fingerprint")
-
-
-def load_run(run_dir: str | Path) -> tuple[ExperimentConfig, str | None, list[IterationState]]:
-    """A run directory read back: `load_config`'s config and fingerprint, and
-    the persisted iterations in order."""
-    config, fingerprint = load_config(run_dir)
     states = [
         IterationState.from_json(json.loads(path.read_text(encoding="utf-8")))
         for path in sorted(Path(run_dir).glob("iter_*.json"))
     ]
-    return config, fingerprint, states
+    return config_from_dict(flat), data.get("fingerprint"), states
+
+
+# the data files a "files" provenance names
+DATA_FILES = ("corpus", "queries", "test_queries", "qrels")
+
+
+def _read_provenance(run_dir: Path) -> dict:
+    """data.json read back; ValueError naming it unless it holds kind
+    "synthetic" with an int seed, or "files" with a path for each of DATA_FILES."""
+    path = run_dir / "data.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind == "synthetic":
+        ok = type(data.get("seed")) is int  # a bool is no seed
+    else:
+        ok = kind == "files" and all(isinstance(data.get(n), str) for n in DATA_FILES)
+    if not ok:
+        raise ValueError(
+            f"{path}: expected kind 'synthetic' with an int seed, or 'files' with "
+            f"path strings {', '.join(DATA_FILES)}; got {data!r}"
+        )
+    return data
+
+
+def bundle_from_provenance(provenance: dict, config: ExperimentConfig) -> DataBundle:
+    """The bundle of the data a provenance names: the desk synthetic bundle
+    at its seed, or the four files of DATA_FILES."""
+    if provenance["kind"] == "synthetic":
+        corpus, train_q, test_q, qrels = synthetic.generate_synthetic(
+            synthetic.DESK_SPEC, provenance["seed"]
+        )
+    else:
+        corpus = datamodel.parse_collection(provenance["corpus"])
+        train_q = datamodel.parse_queries(provenance["queries"])
+        test_q = datamodel.parse_queries(provenance["test_queries"])
+        qrels = datamodel.parse_qrels(provenance["qrels"])
+    return make_bundle(
+        corpus, train_q, test_q, qrels,
+        candidate_depth=config.selection.candidate_depth,
+        negatives_depth=config.negatives_depth,
+    )
 
 
 def _cpu_count() -> int:
@@ -522,9 +578,8 @@ class Experiment:
             shutil.rmtree(self.out_dir / "reports")
         payload = asdict(self.config)
         payload["fingerprint"] = self.config.fingerprint()
-        text = json.dumps(payload, sort_keys=True, indent=2, default=str)
-        _write_replacing(
-            self.out_dir / "config.json", lambda tmp: tmp.write_text(text, encoding="utf-8")
+        _write_text(
+            self.out_dir / "config.json", json.dumps(payload, sort_keys=True, indent=2, default=str)
         )
 
     def _persist(self, state: IterationState, staged: Path | None = None) -> None:
@@ -538,10 +593,9 @@ class Experiment:
             return
         if staged is not None:
             os.replace(staged, self.out_dir / state.checkpoint_name)
-        text = json.dumps(state.to_json(), sort_keys=True)
-        _write_replacing(
+        _write_text(
             self.out_dir / f"iter_{state.iteration:04d}.json",
-            lambda tmp: tmp.write_text(text, encoding="utf-8"),
+            json.dumps(state.to_json(), sort_keys=True),
         )
 
     # -- main loop ---------------------------------------------------------
@@ -556,6 +610,10 @@ class Experiment:
         if self.out_dir is None:
             raise ValueError("resume requires an output directory")
         _, fingerprint, states = load_run(self.out_dir)
+        return self._continue(fingerprint, states)
+
+    def _continue(self, fingerprint: str | None, states: list[IterationState]) -> list[IterationState]:
+        """Continue from `load_run`'s fingerprint and states of the run directory."""
         if fingerprint != self.config.fingerprint():
             raise ValueError(
                 "config fingerprint mismatch: persisted "
@@ -577,9 +635,7 @@ class Experiment:
     ) -> list[IterationState]:
         cfg = self.config
         triplets: list[TrainingTriplet] = list(states[-1].triplets) if states else []
-        ledger = anno.AssessmentLedger()
-        for st in states:
-            ledger.update(st.iteration, st.records)
+        assessments = states[-1].assessments_cumulative if states else 0
 
         worker = _EvaluationWorker(self._evaluation_branch, triplets)
         pending = deque()  # (state, staged checkpoint) of the worker's branches, in order
@@ -620,7 +676,7 @@ class Experiment:
                 s_i = min(cfg.batch_for(i), len(pool))
                 sel = self._select(i, s_i, pool, prev_sel_state, triplets)
                 new_triplets, records, pool = self._annotate(i, sel, pool)
-                ledger.update(i, records)
+                assessments += sum(r.assessments for r in records)
                 triplets = triplets + new_triplets
 
                 sel_state, train_hours = self._train(i, triplets)
@@ -633,7 +689,7 @@ class Experiment:
                     pool=list(pool),
                     triplets=list(triplets),
                     records=records,
-                    assessments_cumulative=ledger.cumulative(i),
+                    assessments_cumulative=assessments,
                     ndcg10=float("nan"),
                     training_hours=train_hours + sel.hours,
                     selection_hours=cfg.cost.selection_hours_per_iteration if i > 1 else 0.0,
@@ -680,7 +736,7 @@ class Experiment:
         iteration 1."""
         cfg = self.config
         strategy = cfg.selection.strategy
-        hitless = not any(len(self.bundle.candidates[qid]) for qid in pool)
+        hitless = not any(len(self.bundle.negatives[qid]) for qid in pool)
         if i == 1 or strategy == "random" or hitless:
             rng = np.random.default_rng(derive_seed(cfg.master_seed, "subset", i))
             return Selection(select_random(pool, s_i, rng), "query", None)
@@ -691,7 +747,7 @@ class Experiment:
                 prev_sel_state,
                 pool,
                 self.bundle.train_queries,
-                self.bundle.candidates,
+                self.bundle.negatives,
                 self.bundle.corpus,
                 cfg.selection.candidate_depth,
                 s_i,
@@ -705,7 +761,7 @@ class Experiment:
                 committee,
                 pool,
                 self.bundle.train_queries,
-                self.bundle.candidates,
+                self.bundle.negatives,
                 self.bundle.corpus,
                 cfg.selection.candidate_depth,
                 s_i,
@@ -756,7 +812,7 @@ class Experiment:
         random baseline), else `walk_state`'s reranking of them: the previous
         ranker's, or the first committee member's for QBC. A query without
         BM25 hits keeps its empty list: an exhausted walk of zero assessments."""
-        candidates = self.bundle.candidates[qid].top(self.config.selection.candidate_depth)
+        candidates = self.bundle.negatives[qid].top(self.config.selection.candidate_depth)
         if walk_state is None or len(candidates) == 0:
             return candidates
         return self.ranker.rerank(
@@ -843,7 +899,10 @@ class Experiment:
     def evaluate(self, state: RankerState) -> float:
         """Mean test nDCG@10 of the given state reranking the BM25 candidates.
         A judged test query without candidates keeps its empty ranking and
-        scores 0."""
+        scores 0; with no judged test query the mean is 0, as with no
+        positive judgment."""
+        if self.bundle.qrels.query_ids().isdisjoint(self.bundle.test_queries.ids()):
+            return 0.0
         rankings = {}
         for qid, text in self.bundle.test_queries.items():
             candidates = self.bundle.test_candidates[qid]
@@ -883,14 +942,45 @@ def report_rows(
     return rows
 
 
-def run_experiment(
-    config: ExperimentConfig, bundle: DataBundle, out_dir: str | Path | None = None
-) -> list[IterationState]:
-    return Experiment(config, bundle, out_dir).run()
+def write_run_outputs(config: ExperimentConfig, states: list[IterationState], out_dir: Path) -> None:
+    """assessments.csv (every state's records, in order) and reports/."""
+    write_csv(
+        out_dir / "assessments.csv", anno.LEDGER_COLUMNS,
+        (astuple(r) for st in states for r in st.records),
+    )
+    emit_reports(report_rows(config, states, seed_label=config.master_seed), out_dir / "reports")
 
 
-def resume(config: ExperimentConfig, bundle: DataBundle, out_dir: str | Path) -> list[IterationState]:
-    return Experiment(config, bundle, out_dir).resume()
+def run_al(config: ExperimentConfig, provenance: dict, out_dir: str | Path) -> list[IterationState]:
+    """A new run in `out_dir` on the data `provenance` names. data.json is
+    written first, so that `resume_al` can rebuild the bundle after a kill."""
+    bundle = bundle_from_provenance(provenance, config)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_text(out_dir / "data.json", json.dumps(provenance, sort_keys=True))
+    states = Experiment(config, bundle, out_dir).run()
+    write_run_outputs(config, states, out_dir)
+    return states
+
+
+def resume_al(run_dir: str | Path) -> list[IterationState]:
+    """Continue the run in `run_dir` and rewrite its outputs; config.json,
+    data.json and each iter_*.json are read once."""
+    run_dir = Path(run_dir)
+    config, fingerprint, states = load_run(run_dir)
+    bundle = bundle_from_provenance(_read_provenance(run_dir), config)
+    states = Experiment(config, bundle, run_dir)._continue(fingerprint, states)
+    write_run_outputs(config, states, run_dir)
+    return states
+
+
+def report_al(run_dir: str | Path) -> tuple[ExperimentConfig, list[IterationState]]:
+    """Rewrite a finished run's outputs from its config.json and iter_*.json."""
+    config, _, states = load_run(run_dir)
+    if not states:
+        raise ValueError(f"no iteration states in {run_dir}")
+    write_run_outputs(config, states, Path(run_dir))
+    return config, states
 
 
 def run_variability(

@@ -16,7 +16,6 @@ import zlib
 import numpy as np
 import pytest
 
-from alrank.annotation import AssessmentLedger
 from alrank.budget import CostConfig, annotation_cost, compute_cost
 from alrank.cli import main as cli_main
 from alrank.datamodel import Corpus, Qrels, QuerySet, RankedList, Run
@@ -26,8 +25,6 @@ from alrank.experiment import (
     ExperimentConfig,
     make_bundle,
     report_rows,
-    resume,
-    run_experiment,
     run_variability,
 )
 from alrank.lexical import build_index, retrieve_topk, tokenize
@@ -270,7 +267,7 @@ def test_criterion_4_loop_contract():
             ranker=ranker_cfg,
             negatives_depth=40,
         )
-        states = run_experiment(config, bundle)
+        states = Experiment(config, bundle).run()
         assert len(states) == 2
         assert len(states[1].pool) == 4
         annotated = [r.query_id for s in states for r in s.records]
@@ -289,12 +286,12 @@ def test_criterion_4_loop_contract():
         picked = select_diversity(small, state, pool, queries, 3, np.random.default_rng(seed))
         assert len(set(picked)) == 3
         pairs = select_uncertainty(
-            small, state, pool, queries, bundle.candidates, bundle.corpus, 5, 3
+            small, state, pool, queries, bundle.negatives, bundle.corpus, 5, 3
         )
         assert len({(q, d) for q, d, _ in pairs}) == 3
         committee = [state, small.init_state(seed + 1_000_000)]
         picked = select_qbc(
-            small, committee, pool, queries, bundle.candidates, bundle.corpus, 5, 3
+            small, committee, pool, queries, bundle.negatives, bundle.corpus, 5, 3
         )
         assert len({q for q, _ in picked}) == 3
 
@@ -305,10 +302,10 @@ def test_criterion_4_loop_contract():
         ranker=ranker_cfg,
         negatives_depth=40,
     )
-    states = run_experiment(config, bundle)
+    states = Experiment(config, bundle).run()
     for state in states:
         for record in state.records:
-            walk = bundle.candidates[record.query_id].top(20).doc_ids()
+            walk = bundle.negatives[record.query_id].top(20).doc_ids()
             rank = next(
                 (r for r, did in enumerate(walk, start=1)
                  if bundle.qrels.is_relevant(record.query_id, did)),
@@ -318,11 +315,9 @@ def test_criterion_4_loop_contract():
                 assert record.assessments == rank
             else:
                 assert rank is None and record.assessments == len(walk)
-    ledger = AssessmentLedger()
+    records = [r for state in states for r in state.records]
     for state in states:
-        ledger.update(state.iteration, state.records)
-    for state in states:
-        oracle = sum(r.assessments for r in ledger.records if r.iteration <= state.iteration)
+        oracle = sum(r.assessments for r in records if r.iteration <= state.iteration)
         assert state.assessments_cumulative == oracle
 
 
@@ -373,7 +368,7 @@ def test_criterion_6_strategy_runs(desk_bundle, tmp_path):
             selection=SelectionConfig(strategy=strategy, samples_per_iteration=20),
             ranker=DESK_RANKER,
         )
-        states = run_experiment(config, desk_bundle)
+        states = Experiment(config, desk_bundle).run()
         assert len(states) == 5
         rows = report_rows(config, states)
         totals = [row["assessments"] for row in rows]
@@ -407,11 +402,11 @@ def test_criterion_7_determinism_and_resume(desk_bundle, tmp_path):
     )
     full_dir = tmp_path / "full"
     part_dir = tmp_path / "part"
-    full_states = run_experiment(config, desk_bundle, full_dir)
-    run_experiment(config, desk_bundle, part_dir)
+    full_states = Experiment(config, desk_bundle, full_dir).run()
+    Experiment(config, desk_bundle, part_dir).run()
     (part_dir / "iter_0003.json").unlink()
     (part_dir / "iter_0003.ckpt").unlink()
-    resumed = resume(config, desk_bundle, part_dir)
+    resumed = Experiment(config, desk_bundle, part_dir).resume()
     assert [s.to_json() for s in resumed] == [s.to_json() for s in full_states]
     assert (part_dir / "iter_0003.ckpt").read_bytes() == (full_dir / "iter_0003.ckpt").read_bytes()
 

@@ -1,16 +1,19 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from alrank.annotation import (
+    LEDGER_COLUMNS,
     AnnotationRecord,
-    AssessmentLedger,
     Exhausted,
     annotate_pair,
     annotate_query,
     first_relevant,
+    read_assessment_totals,
     sample_negative,
 )
-from alrank.datamodel import Qrels, RankedList
+from alrank.datamodel import Qrels, RankedList, write_csv
 
 
 def ranked(*doc_ids: str) -> RankedList:
@@ -126,66 +129,31 @@ class TestAnnotatePair:
         assert triplet is None and cost == 1 + 2
 
 
-class TestAssessmentLedger:
-    def _records(self, iteration, costs):
-        return [
-            AnnotationRecord(iteration, f"q{i}", "triplet", c, f"p{i}", f"n{i}")
-            for i, c in enumerate(costs)
+class TestReadAssessmentTotals:
+    """cost-calc's reader of an assessments.csv: cumulative A(i) per iteration."""
+
+    @staticmethod
+    def _write(path, costs_by_iteration):
+        records = [
+            AnnotationRecord(i, f"q{k}", "triplet" if c < 100 else "skipped", c)
+            for i, costs in costs_by_iteration.items() for k, c in enumerate(costs)
         ]
+        write_csv(path, LEDGER_COLUMNS, map(astuple, records))
+        return records
 
-    def test_cumulative_totals(self):
-        ledger = AssessmentLedger()
-        ledger.update(1, self._records(1, [3, 5]))
-        ledger.update(2, self._records(2, [1]))
-        ledger.update(3, self._records(3, [4, 2]))
-        assert ledger.per_iteration == {1: 8, 2: 1, 3: 6}
-        assert ledger.cumulative(1) == 8
-        assert ledger.cumulative(2) == 9
-        assert ledger.cumulative(3) == 15
+    def test_cumulative_totals(self, tmp_path):
+        self._write(tmp_path / "a.csv", {1: [3, 5], 2: [1], 3: [4, 2], 4: [100]})
+        assert read_assessment_totals(tmp_path / "a.csv") == {1: 8, 2: 9, 3: 15, 4: 115}
 
-    def test_cumulative_matches_record_resummation(self):
-        ledger = AssessmentLedger()
+    def test_cumulative_matches_record_resummation(self, tmp_path):
         rng = np.random.default_rng(2)
-        for i in range(1, 6):
-            ledger.update(i, self._records(i, rng.integers(1, 20, size=4).tolist()))
-        for i in range(1, 6):
-            oracle = sum(r.assessments for r in ledger.records if r.iteration <= i)
-            assert ledger.cumulative(i) == oracle
-
-    def test_nondecreasing_cumulative(self):
-        ledger = AssessmentLedger()
-        for i in range(1, 5):
-            ledger.update(i, self._records(i, [i]))
-        values = [ledger.cumulative(i) for i in range(1, 5)]
-        assert values == sorted(values)
-
-    def test_out_of_order_update_rejected(self):
-        ledger = AssessmentLedger()
-        ledger.update(2, self._records(2, [1]))
-        with pytest.raises(ValueError, match="not after"):
-            ledger.update(1, self._records(1, [1]))
-        with pytest.raises(ValueError, match="not after"):
-            ledger.update(2, self._records(2, [1]))
-
-    def test_iteration_mismatch_rejected(self):
-        ledger = AssessmentLedger()
-        with pytest.raises(ValueError, match="iteration"):
-            ledger.update(1, self._records(2, [1]))
-
-    def test_skipped_records_count(self):
-        ledger = AssessmentLedger()
-        ledger.update(1, [AnnotationRecord(1, "q1", "skipped", 100)])
-        assert ledger.cumulative(1) == 100
-
-    def test_csv_round_trip(self, tmp_path):
-        ledger = AssessmentLedger()
-        ledger.update(1, self._records(1, [3, 7]))
-        ledger.update(2, [AnnotationRecord(2, "qx", "skipped", 100)])
-        path = tmp_path / "assessments.csv"
-        ledger.save_csv(path)
-        loaded = AssessmentLedger.load_csv(path)
-        assert loaded.records == ledger.records
-        assert loaded.per_iteration == ledger.per_iteration
+        records = self._write(
+            tmp_path / "a.csv", {i: rng.integers(1, 20, size=4).tolist() for i in range(1, 6)}
+        )
+        totals = read_assessment_totals(tmp_path / "a.csv")
+        assert list(totals) == [1, 2, 3, 4, 5]
+        for i, total in totals.items():
+            assert total == sum(r.assessments for r in records if r.iteration <= i)
 
     @pytest.mark.parametrize(
         "header, missing",
@@ -199,4 +167,4 @@ class TestAssessmentLedger:
         path = tmp_path / "assessments.csv"
         path.write_text(header + "\n" if header else "")
         with pytest.raises(ValueError, match=f"lacks columns {missing}$"):
-            AssessmentLedger.load_csv(path)
+            read_assessment_totals(path)

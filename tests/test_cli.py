@@ -390,9 +390,9 @@ class TestRunDirectory:
         monkeypatch.undo()
         assert code == 0, err
         assert len(loads) == 1
-        read_iterations = {name: n for name, n in reads.items() if name.startswith("iter_")}
+        read_json = {name: n for name, n in reads.items() if name.endswith(".json")}
         persisted = ["iter_0001.json"] if cut else ["iter_0001.json", "iter_0002.json"]
-        assert read_iterations == dict.fromkeys(persisted, 1)
+        assert read_json == dict.fromkeys(["config.json", "data.json", *persisted], 1)
 
     def test_evaluation_error_is_reported(self, tmp_path, monkeypatch, capsys):
         """A ValueError from iteration 1's evaluation branch, which runs in the

@@ -264,10 +264,13 @@ class TestSynthetic:
     @pytest.mark.parametrize("spec, seed, sha256", PINNED_BUNDLES)
     def test_bundle_pinned(self, spec, seed, sha256):
         bundle = make_bundle(*generate_synthetic(spec, seed))
+        # the walks' candidates (each list cut to the default candidate_depth
+        # 100), the negatives and the test candidates
+        candidates = {qid: ranked.top(100) for qid, ranked in bundle.negatives.rankings.items()}
         payload = json.dumps([
             [[qid, [[did, score.hex()] for did, score in ranked.entries]]
-             for qid, ranked in run.rankings.items()]
-            for run in (bundle.candidates, bundle.negatives, bundle.test_candidates)
+             for qid, ranked in rankings.items()]
+            for rankings in (candidates, bundle.negatives.rankings, bundle.test_candidates.rankings)
         ])
         assert hashlib.sha256(payload.encode()).hexdigest() == sha256
 

@@ -21,8 +21,6 @@ from alrank.experiment import (
     derive_seed,
     make_bundle,
     report_rows,
-    resume,
-    run_experiment,
     run_variability,
 )
 from alrank.ranker import Ranker, RankerConfig, save_checkpoint
@@ -92,7 +90,7 @@ class TestExperimentConfig:
 class TestRunLoop:
     def test_pool_shrinks_by_annotated_queries(self, tiny_bundle):
         # 15 train queries, 2 iterations of 3 query annotations each
-        states = run_experiment(tiny_config(), tiny_bundle)
+        states = Experiment(tiny_config(), tiny_bundle).run()
         assert len(states) == 2
         n_queries = len(tiny_bundle.train_queries)
         assert len(states[0].pool) == n_queries - 3
@@ -100,34 +98,34 @@ class TestRunLoop:
         assert len(states[1].triplets) <= 6
 
     def test_training_set_is_cumulative(self, tiny_bundle):
-        states = run_experiment(tiny_config(), tiny_bundle)
+        states = Experiment(tiny_config(), tiny_bundle).run()
         first = set(states[0].triplets)
         assert first.issubset(set(states[1].triplets))
 
     def test_assessments_nondecreasing(self, tiny_bundle):
-        states = run_experiment(tiny_config(iterations=4), tiny_bundle)
+        states = Experiment(tiny_config(iterations=4), tiny_bundle).run()
         totals = [s.assessments_cumulative for s in states]
         assert totals == sorted(totals)
         assert totals[0] > 0
 
     def test_same_seed_identical_runs(self, tiny_bundle):
-        a = run_experiment(tiny_config(strategy="uncertainty"), tiny_bundle)
-        b = run_experiment(tiny_config(strategy="uncertainty"), tiny_bundle)
+        a = Experiment(tiny_config(strategy="uncertainty"), tiny_bundle).run()
+        b = Experiment(tiny_config(strategy="uncertainty"), tiny_bundle).run()
         assert [s.to_json() for s in a] == [s.to_json() for s in b]
 
     def test_different_seed_differs(self, tiny_bundle):
-        a = run_experiment(tiny_config(), tiny_bundle)
-        b = run_experiment(tiny_config(master_seed=9), tiny_bundle)
+        a = Experiment(tiny_config(), tiny_bundle).run()
+        b = Experiment(tiny_config(master_seed=9), tiny_bundle).run()
         assert [s.selected for s in a] != [s.selected for s in b]
 
     def test_all_strategies_complete(self, tiny_bundle):
         for strategy in ("random", "uncertainty", "qbc", "diversity"):
-            states = run_experiment(tiny_config(strategy=strategy), tiny_bundle)
+            states = Experiment(tiny_config(strategy=strategy), tiny_bundle).run()
             assert len(states) == 2
             assert all(0.0 <= s.ndcg10 <= 1.0 for s in states)
 
     def test_uncertainty_selects_pairs_after_first_iteration(self, tiny_bundle):
-        states = run_experiment(tiny_config(strategy="uncertainty"), tiny_bundle)
+        states = Experiment(tiny_config(strategy="uncertainty"), tiny_bundle).run()
         assert all(isinstance(q, str) for q in states[0].selected)
         assert all(len(pair) == 2 for pair in states[1].selected)
 
@@ -137,7 +135,7 @@ class TestRunLoop:
             iterations=4,
             selection=SelectionConfig(strategy="random", samples_per_iteration=n, candidate_depth=20),
         )
-        states = run_experiment(config, tiny_bundle)
+        states = Experiment(config, tiny_bundle).run()
         assert len(states) == 1
         assert states[0].stop_reason == "pool exhausted"
 
@@ -161,7 +159,7 @@ class TestRunLoop:
 
     def test_report_rows_cost_identity(self, tiny_bundle):
         config = tiny_config(iterations=3)
-        states = run_experiment(config, tiny_bundle)
+        states = Experiment(config, tiny_bundle).run()
         rows = report_rows(config, states, seed_label=7)
         assert [r["iteration"] for r in rows] == [1, 2, 3]
         for row, state in zip(rows, states):
@@ -183,13 +181,13 @@ def hitless_bundle(tiny_data):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_hitless_train_queries_run_to_the_end(hitless_bundle, strategy):
     hitless = {q for q in hitless_bundle.train_queries.ids() if q.startswith("hitless")}
-    assert all(len(hitless_bundle.candidates[q]) == 0 for q in hitless)
+    assert all(len(hitless_bundle.negatives[q]) == 0 for q in hitless)
     config = tiny_config(
         strategy,
         iterations=12,
         selection=SelectionConfig(strategy=strategy, samples_per_iteration=4, candidate_depth=20),
     )
-    states = run_experiment(config, hitless_bundle)
+    states = Experiment(config, hitless_bundle).run()
     assert states[-1].stop_reason == "pool exhausted"
     # each hitless query was picked after the first (random) draw and walked
     # as an exhausted walk of zero assessments
@@ -210,8 +208,8 @@ def unjudged_bundle(tiny_bundle):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_tripletless_run_goes_to_the_end(unjudged_bundle, strategy):
-    assert all(len(unjudged_bundle.candidates[q]) for q in unjudged_bundle.train_queries.ids())
-    states = run_experiment(tiny_config(strategy, iterations=3), unjudged_bundle)
+    assert all(len(unjudged_bundle.negatives[q]) for q in unjudged_bundle.train_queries.ids())
+    states = Experiment(tiny_config(strategy, iterations=3), unjudged_bundle).run()
     assert [s.iteration for s in states] == [1, 2, 3]
     assert all(not s.triplets and s.training_hours == 0.0 for s in states)
     exp = Experiment(tiny_config(strategy), unjudged_bundle)
@@ -233,7 +231,7 @@ def test_judged_hitless_test_queries_score_zero(tiny_data, tiny_bundle):
     assert len(bundle.test_candidates["hitless-test0"]) == 0
     exp, base = Experiment(tiny_config(), bundle), Experiment(tiny_config(), tiny_bundle)
     n = len(tiny_bundle.test_queries)
-    trained, _ = base._train(1, run_experiment(tiny_config(), tiny_bundle)[-1].triplets)
+    trained, _ = base._train(1, Experiment(tiny_config(), tiny_bundle).run()[-1].triplets)
     for state in (base._start_state, trained):
         without = base.evaluate(state)
         # two more queries in the mean, each scoring 0
@@ -243,9 +241,21 @@ def test_judged_hitless_test_queries_score_zero(tiny_data, tiny_bundle):
 
 def test_test_set_of_only_hitless_queries_runs_to_the_end(tiny_data):
     bundle = with_hitless_test_queries(tiny_data, keep_test_queries=False)
-    states = run_experiment(tiny_config("uncertainty", iterations=3), bundle)
+    states = Experiment(tiny_config("uncertainty", iterations=3), bundle).run()
     assert [s.iteration for s in states] == [1, 2, 3]
     assert all(s.ndcg10 == 0.0 for s in states)
+
+
+def test_test_set_without_judged_query_runs_to_the_end(tiny_data):
+    """No qrel names a test query: each evaluation's mean is 0, as with no
+    positive judgment."""
+    corpus, train_q, test_q, qrels = tiny_data
+    renamed = QuerySet({f"unjudged-{qid}": text for qid, text in test_q.items()})
+    bundle = make_bundle(corpus, train_q, renamed, qrels)
+    assert all(len(bundle.test_candidates[qid]) for qid in renamed.ids())
+    states = Experiment(tiny_config(iterations=2), bundle).run()
+    assert [s.iteration for s in states] == [1, 2]
+    assert states[-1].triplets and all(s.ndcg10 == 0.0 for s in states)
 
 
 @pytest.mark.parametrize("arch", ["cross", "maxsim"])
@@ -281,7 +291,7 @@ def test_annotation_reranks_each_query_once(tiny_bundle, tmp_path, monkeypatch, 
     monkeypatch.setattr(Ranker, "rerank", counting_rerank)
     monkeypatch.setattr(Experiment, "_annotate", annotate_in)
     per_iteration = []
-    run_experiment(config, tiny_bundle, tmp_path / "once")
+    Experiment(config, tiny_bundle, tmp_path / "once").run()
     pairs = [(selected, calls) for selected, calls in per_iteration[1:]]
     assert all(isinstance(pair, list) for selected, _ in pairs for pair in selected)
     assert any(len({q for q, _ in selected}) < len(selected) for selected, _ in pairs)
@@ -290,7 +300,7 @@ def test_annotation_reranks_each_query_once(tiny_bundle, tmp_path, monkeypatch, 
 
     monkeypatch.setattr(anno, "annotate_pair", per_pair_reranking)
     per_iteration = []
-    run_experiment(config, tiny_bundle, tmp_path / "per-pair")
+    Experiment(config, tiny_bundle, tmp_path / "per-pair").run()
     # the per-query reranks, then one fresh rerank per pair
     assert [len(calls) for _, calls in per_iteration[1:]] == [
         len(calls) + len(selected) for selected, calls in pairs
@@ -305,7 +315,7 @@ def test_annotation_reranks_each_query_once(tiny_bundle, tmp_path, monkeypatch, 
 def first_iteration(strategy, bundle):
     """An Experiment, iteration 1's pool and triplets, and a trained state."""
     exp = Experiment(tiny_config(strategy), bundle)
-    first = run_experiment(tiny_config(strategy, iterations=1), bundle)[0]
+    first = Experiment(tiny_config(strategy, iterations=1), bundle).run()[0]
     assert first.triplets
     prev, _ = exp._train(1, first.triplets)
     return exp, first.pool, first.triplets, prev
@@ -367,7 +377,7 @@ def test_persisted_training_hours_add_committee_hours(tiny_bundle, strategy):
     committee's for QBC from iteration 2, with the same float bits as the
     formulas summed in that order."""
     config = tiny_config(strategy, iterations=3, training_hours_per_sample_epoch=0.1)
-    states = run_experiment(config, tiny_bundle)
+    states = Experiment(config, tiny_bundle).run()
     assert [s.iteration for s in states] == [1, 2, 3]
     for prev, st in zip([None] + states[:-1], states):
         hours = (config.ranker.epochs_evaluation * len(st.triplets)
@@ -383,12 +393,12 @@ class TestResume:
         config = tiny_config(iterations=3)
         full_dir = tmp_path / "full"
         part_dir = tmp_path / "part"
-        full_states = run_experiment(config, tiny_bundle, full_dir)
-        run_experiment(config, tiny_bundle, part_dir)
+        full_states = Experiment(config, tiny_bundle, full_dir).run()
+        Experiment(config, tiny_bundle, part_dir).run()
         # drop the last iteration to simulate an interrupt
         (part_dir / "iter_0003.json").unlink()
         (part_dir / "iter_0003.ckpt").unlink()
-        resumed = resume(config, tiny_bundle, part_dir)
+        resumed = Experiment(config, tiny_bundle, part_dir).resume()
         assert [s.to_json() for s in resumed] == [s.to_json() for s in full_states]
         assert (part_dir / "iter_0003.ckpt").read_bytes() == (
             full_dir / "iter_0003.ckpt"
@@ -402,7 +412,7 @@ class TestResume:
         def get(strategy):
             if strategy not in runs:
                 runs[strategy] = tmp_path_factory.mktemp(f"full-{strategy}")
-                run_experiment(tiny_config(strategy, iterations=4), tiny_bundle, runs[strategy])
+                Experiment(tiny_config(strategy, iterations=4), tiny_bundle, runs[strategy]).run()
             return runs[strategy]
 
         return get
@@ -419,7 +429,7 @@ class TestResume:
         for k in range(cut, 5):
             (part_dir / f"iter_{k:04d}.json").unlink()
             (part_dir / f"iter_{k:04d}.ckpt").unlink()
-        resume(tiny_config(strategy, iterations=4), tiny_bundle, part_dir)
+        Experiment(tiny_config(strategy, iterations=4), tiny_bundle, part_dir).resume()
         files = sorted(p.name for p in full_dir.iterdir())
         assert sorted(p.name for p in part_dir.iterdir()) == files
         for name in files:
@@ -448,14 +458,14 @@ class TestResume:
         )
         with tempfile.TemporaryDirectory() as tmp:
             full_dir, part_dir = Path(tmp) / "full", Path(tmp) / "part"
-            run_experiment(config, tiny_bundle, full_dir)
+            Experiment(config, tiny_bundle, full_dir).run()
             shutil.copytree(full_dir, part_dir)
             # a run killed after iteration cut - 1 has only the earlier iterations
             written = len(list(full_dir.glob("iter_*.json")))
             for k in range(min(cut, written), written + 1):
                 (part_dir / f"iter_{k:04d}.json").unlink()
                 (part_dir / f"iter_{k:04d}.ckpt").unlink()
-            resume(config, tiny_bundle, part_dir)
+            Experiment(config, tiny_bundle, part_dir).resume()
             files = sorted(p.name for p in full_dir.iterdir())
             assert sorted(p.name for p in part_dir.iterdir()) == files
             for name in files:
@@ -465,14 +475,14 @@ class TestResume:
         config = tiny_config(iterations=3)
         full_dir = tmp_path / "full"
         part_dir = tmp_path / "part"
-        full_states = run_experiment(config, tiny_bundle, full_dir)
-        run_experiment(config, tiny_bundle, part_dir)
+        full_states = Experiment(config, tiny_bundle, full_dir).run()
+        Experiment(config, tiny_bundle, part_dir).run()
         # a kill inside the last checkpoint write leaves only a partial temp file
         ckpt = (part_dir / "iter_0003.ckpt").read_bytes()
         (part_dir / "iter_0003.ckpt").unlink()
         (part_dir / "iter_0003.json").unlink()
         (part_dir / "iter_0003.ckpt.tmp").write_bytes(ckpt[: len(ckpt) // 2])
-        resumed = resume(config, tiny_bundle, part_dir)
+        resumed = Experiment(config, tiny_bundle, part_dir).resume()
         assert [s.to_json() for s in resumed] == [s.to_json() for s in full_states]
         assert sorted(p.name for p in part_dir.iterdir()) == sorted(
             p.name for p in full_dir.iterdir()
@@ -485,35 +495,35 @@ class TestResume:
             iterations=4,
             selection=SelectionConfig(strategy="random", samples_per_iteration=n, candidate_depth=20),
         )
-        run_experiment(config, tiny_bundle, tmp_path)
+        Experiment(config, tiny_bundle, tmp_path).run()
         raw = json.loads((tmp_path / "iter_0001.json").read_text())
         assert raw["stop_reason"] == "pool exhausted"
         assert sorted(p.name for p in tmp_path.glob("iter_*")) == [
             "iter_0001.ckpt", "iter_0001.json"
         ]
-        assert len(resume(config, tiny_bundle, tmp_path)) == 1
+        assert len(Experiment(config, tiny_bundle, tmp_path).resume()) == 1
 
     def test_resume_complete_run_is_noop(self, tiny_bundle, tmp_path):
         config = tiny_config()
-        run_experiment(config, tiny_bundle, tmp_path)
+        Experiment(config, tiny_bundle, tmp_path).run()
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        states = resume(config, tiny_bundle, tmp_path)
+        states = Experiment(config, tiny_bundle, tmp_path).resume()
         assert len(states) == 2
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert before == after
 
     def test_resume_rejects_changed_config(self, tiny_bundle, tmp_path):
-        run_experiment(tiny_config(), tiny_bundle, tmp_path)
+        Experiment(tiny_config(), tiny_bundle, tmp_path).run()
         with pytest.raises(ValueError, match="fingerprint mismatch"):
-            resume(tiny_config(master_seed=5), tiny_bundle, tmp_path)
+            Experiment(tiny_config(master_seed=5), tiny_bundle, tmp_path).resume()
 
     def test_resume_without_artifacts(self, tiny_bundle, tmp_path):
         with pytest.raises(ValueError, match="no persisted experiment"):
-            resume(tiny_config(), tiny_bundle, tmp_path / "missing")
+            Experiment(tiny_config(), tiny_bundle, tmp_path / "missing").resume()
 
     def test_persisted_state_round_trip(self, tiny_bundle, tmp_path):
         config = tiny_config()
-        states = run_experiment(config, tiny_bundle, tmp_path)
+        states = Experiment(config, tiny_bundle, tmp_path).run()
         raw = json.loads((tmp_path / "iter_0002.json").read_text())
         from alrank.experiment import IterationState
 
@@ -552,17 +562,17 @@ class TestVariability:
 
 
 class TestMakeBundle:
-    def test_candidates_are_prefix_of_negatives(self, tiny_data):
-        corpus, train_q, test_q, qrels = tiny_data
-        bundle = make_bundle(corpus, train_q, test_q, qrels, candidate_depth=10, negatives_depth=40)
-        for qid in train_q.ids():
-            cands = bundle.candidates[qid]
-            negs = bundle.negatives[qid]
-            assert negs.entries[: len(cands)] == cands.entries
-            assert len(cands) <= 10 and len(negs) <= 40
+    def test_depths(self, tiny_data, tiny_bundle):
+        # tiny_bundle's default depths keep every BM25 hit of its 72 docs
+        bundle = make_bundle(*tiny_data, candidate_depth=3, negatives_depth=5)
+        for run, full, depth in ((bundle.negatives, tiny_bundle.negatives, 5),
+                                 (bundle.test_candidates, tiny_bundle.test_candidates, 3)):
+            assert run.query_ids() == full.query_ids()
+            for qid, ranked in full.rankings.items():
+                assert run[qid].entries == ranked.entries[:depth]
 
     def test_all_query_splits_covered(self, tiny_bundle):
-        assert set(tiny_bundle.candidates.query_ids()) == set(tiny_bundle.train_queries.ids())
+        assert set(tiny_bundle.negatives.query_ids()) == set(tiny_bundle.train_queries.ids())
         assert set(tiny_bundle.test_candidates.query_ids()) == set(tiny_bundle.test_queries.ids())
 
 
@@ -700,11 +710,11 @@ class TestEvaluationWorker:
             "uncertainty", iterations=4, ranker=replace(TINY_RANKER, architecture=arch)
         )
         forks.cpus(1)
-        inline = [s.to_json() for s in run_experiment(config, tiny_bundle)]
+        inline = [s.to_json() for s in Experiment(config, tiny_bundle).run()]
         assert len({s["ndcg10"] for s in inline}) == 4
         forks.cpus(2)
         parent_branches = self.force_side(monkeypatch, tmp_path, slow, last=4)
-        assert [s.to_json() for s in run_experiment(config, tiny_bundle)] == inline
+        assert [s.to_json() for s in Experiment(config, tiny_bundle).run()] == inline
         assert parent_branches == ([4] if slow == "worker" else []) and len(forks) == 1
         assert_reaped(forks)
 
@@ -729,7 +739,7 @@ class TestEvaluationWorker:
         monkeypatch.setattr(Experiment, "_train", recording_train)
         monkeypatch.setattr(Experiment, "_persist", recording_persist)
         forks.cpus(cpus)
-        run_experiment(tiny_config(iterations=4), tiny_bundle, tmp_path)
+        Experiment(tiny_config(iterations=4), tiny_bundle, tmp_path).run()
         assert [i for i, _ in commits] == [1, 2, 3, 4]
         if cpus == 1:
             assert commits == [(1, 1), (2, 2), (3, 3), (4, 4)]
@@ -814,7 +824,7 @@ class TestEvaluationWorker:
         monkeypatch.setattr(Experiment, "_evaluation_branch", held_branch)
         monkeypatch.setattr(Experiment, "_train", failing_train)
         with pytest.raises(BranchFailed, match="iteration 4"):
-            run_experiment(config, tiny_bundle, tmp_path / "part")
+            Experiment(config, tiny_bundle, tmp_path / "part").run()
         assert sorted(p.name for p in (tmp_path / "part").iterdir()) == ["config.json"]
         monkeypatch.setattr(Experiment, "_evaluation_branch", branch)
         monkeypatch.setattr(Experiment, "_train", train)
@@ -864,19 +874,19 @@ class TestEvaluationWorker:
 
         monkeypatch.setattr(Experiment, "_evaluation_branch", report_affinity)
         with pytest.raises(BranchFailed) as raised:
-            run_experiment(tiny_config(iterations=2), tiny_bundle)
+            Experiment(tiny_config(iterations=2), tiny_bundle).run()
         assert raised.value.args[0] == sorted(cpus - {min(cpus)})
         assert_reaped(forks)
 
     def test_one_iteration_left_never_forks(self, tiny_bundle, tmp_path, forks):
         forks.cpus(2)
         config = tiny_config("uncertainty", iterations=3)
-        run_experiment(config, tiny_bundle, tmp_path)
+        Experiment(config, tiny_bundle, tmp_path).run()
         assert len(forks) == 1
         for suffix in ("json", "ckpt"):
             (tmp_path / f"iter_0003.{suffix}").unlink()
-        resume(config, tiny_bundle, tmp_path)
-        run_experiment(tiny_config("uncertainty", iterations=1), tiny_bundle, tmp_path / "one")
+        Experiment(config, tiny_bundle, tmp_path).resume()
+        Experiment(tiny_config("uncertainty", iterations=1), tiny_bundle, tmp_path / "one").run()
         assert len(forks) == 1
         assert_reaped(forks)
 
@@ -899,7 +909,7 @@ class TestEvaluationWorker:
 
         monkeypatch.setattr(Experiment, "_evaluation_branch", failing_branch)
         with pytest.raises(BranchFailed, match="evaluation of iteration 2 failed"):
-            run_experiment(config, tiny_bundle, tmp_path / "part")
+            Experiment(config, tiny_bundle, tmp_path / "part").run()
         assert sorted(p.name for p in (tmp_path / "part").iterdir()) == [
             "config.json", "iter_0001.ckpt", "iter_0001.json",
         ]
@@ -919,7 +929,7 @@ class TestEvaluationWorker:
 
         monkeypatch.setattr(Experiment, "_evaluation_branch", dying_branch)
         with pytest.raises(RuntimeError, match="exited without a result"):
-            run_experiment(tiny_config(iterations=3), tiny_bundle, tmp_path)
+            Experiment(tiny_config(iterations=3), tiny_bundle, tmp_path).run()
         assert not list(tmp_path.glob("iter_*"))
         assert len(forks) == 1
         assert_reaped(forks)
@@ -979,8 +989,8 @@ class TestSharedRanker:
             for strategy in STRATEGIES:
                 for seed in (1, 2):
                     ranker = replace(TINY_RANKER, architecture=arch)
-                    run_experiment(tiny_config(strategy, iterations=4, master_seed=seed,
-                                               ranker=ranker), bundle)
+                    Experiment(tiny_config(strategy, iterations=4, master_seed=seed,
+                                   ranker=ranker), bundle).run()
         return bundle
 
     @pytest.mark.parametrize("strategy,arch", [

@@ -2,11 +2,11 @@
 
 import hashlib
 
-from alrank.annotation import AnnotationRecord, AssessmentLedger
+from alrank.annotation import AnnotationRecord
 from alrank.cli import main
 from alrank.datamodel import TrainingTriplet
 from alrank.evaluation import emit_reports
-from alrank.experiment import ExperimentConfig, IterationState, report_rows
+from alrank.experiment import ExperimentConfig, IterationState, report_rows, write_run_outputs
 from alrank.selection import SelectionConfig
 
 
@@ -59,19 +59,13 @@ class TestCsvBytesPinned:
         }
 
     def test_assessment_ledger(self, tmp_path):
-        ledger = AssessmentLedger()
-        for st in _states():
-            ledger.update(st.iteration, st.records)
-        ledger.save_csv(tmp_path / "assessments.csv")
+        write_run_outputs(ExperimentConfig(), _states(), tmp_path)
         assert _sha(tmp_path / "assessments.csv") == (
             "213c13d94b28035a5395c6d241f3324c1d889fddbb34d018ed7088252062ab10"
         )
 
     def test_cost_calc(self, tmp_path, capsys):
-        ledger = AssessmentLedger()
-        for st in _states():
-            ledger.update(st.iteration, st.records)
-        ledger.save_csv(tmp_path / "assessments.csv")
+        write_run_outputs(ExperimentConfig(), _states(), tmp_path)
         (tmp_path / "config.json").write_text('{"gpu_cost_per_hour": 2.5}')
         code = main([
             "cost-calc", "--ledger", str(tmp_path / "assessments.csv"),

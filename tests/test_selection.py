@@ -543,7 +543,7 @@ class TestPicksEqualRerankBruteForce:
         pool = b.train_queries.ids()
         scored = []
         for qid in pool:
-            candidates = b.candidates[qid].top(self.DEPTH)
+            candidates = b.negatives[qid].top(self.DEPTH)
             if len(candidates):
                 reranked = ranker.rerank(state, b.train_queries[qid], candidates, b.corpus)
                 score = dict(reranked.entries)
@@ -558,7 +558,7 @@ class TestPicksEqualRerankBruteForce:
         if one_pair_per_query:
             ranked = [e for k, e in enumerate(ranked)
                       if e[0] not in {f[0] for f in ranked[:k]}]
-        got = select_uncertainty(ranker, state, pool, b.train_queries, b.candidates, b.corpus,
+        got = select_uncertainty(ranker, state, pool, b.train_queries, b.negatives, b.corpus,
                                  self.DEPTH, 9, one_pair_per_query=one_pair_per_query)
         assert got == ranked[:9]
 
@@ -571,7 +571,7 @@ class TestPicksEqualRerankBruteForce:
         pool = b.train_queries.ids()
         scored, unscored = [], []
         for qid in pool:
-            candidates = b.candidates[qid].top(self.DEPTH)
+            candidates = b.negatives[qid].top(self.DEPTH)
             if len(candidates) < 2:
                 unscored.append((qid, 0.0))
                 continue
@@ -579,7 +579,7 @@ class TestPicksEqualRerankBruteForce:
                         for m in committee]
             scored.append((qid, oracle_vote_entropy(rankings, pair_depth)))
         want = (sorted(scored, key=lambda e: (-e[1], e[0])) + sorted(unscored))[:9]
-        got = select_qbc(ranker, committee, pool, b.train_queries, b.candidates, b.corpus,
+        got = select_qbc(ranker, committee, pool, b.train_queries, b.negatives, b.corpus,
                          self.DEPTH, 9, pair_depth=pair_depth)
         assert got == want
 
