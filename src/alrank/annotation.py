@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import Qrels, RankedList, TrainingTriplet
+from .datamodel import ParseError, Qrels, RankedList, TrainingTriplet
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,15 @@ def read_assessment_totals(path: str | Path) -> dict[int, int]:
             raise ValueError(f"{path}: assessment ledger lacks columns {', '.join(missing)}")
         per_iteration: dict[int, int] = {}
         for row in reader:
-            i = int(row["iteration"])
-            per_iteration[i] = per_iteration.get(i, 0) + int(row["assessments"])
+            cells = []
+            for column in ("iteration", "assessments"):
+                try:
+                    cells.append(int(row[column]))
+                except (TypeError, ValueError):  # TypeError: a short row's missing cell
+                    raise ParseError(
+                        path, reader.line_num, f"column {column!r}: not an integer: {row[column]!r}"
+                    ) from None
+            i, n = cells
+            per_iteration[i] = per_iteration.get(i, 0) + n
     iterations = sorted(per_iteration)
     return dict(zip(iterations, accumulate(per_iteration[i] for i in iterations)))

@@ -122,13 +122,9 @@ def cmd_make_synthetic(args) -> int:
     corpus, train_q, test_q, qrels = synthetic.generate_synthetic(spec, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "corpus.tsv", "w", encoding="utf-8") as fh:
-        for did, text in corpus.items():
-            fh.write(f"{did}\t{text}\n")
-    for name, qs in (("queries_train.tsv", train_q), ("queries_test.tsv", test_q)):
-        with open(out / name, "w", encoding="utf-8") as fh:
-            for qid, text in qs.items():
-                fh.write(f"{qid}\t{text}\n")
+    datamodel.serialize_collection(corpus, out / "corpus.tsv")
+    datamodel.serialize_collection(train_q, out / "queries_train.tsv")
+    datamodel.serialize_collection(test_q, out / "queries_test.tsv")
     datamodel.serialize_qrels(qrels, out / "qrels.txt")
     print(
         f"wrote {len(corpus)} docs, {len(train_q)}/{len(test_q)} train/test queries -> {out}"

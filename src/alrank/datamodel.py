@@ -253,6 +253,17 @@ def parse_qrels(path: str | Path, threshold: int = 1) -> Qrels:
     return Qrels(grades, threshold=threshold)
 
 
+def serialize_collection(collection: TextCollection, path: str | Path) -> None:
+    """Write a Corpus or QuerySet as the `<id>\\t<text>` TSV that
+    `parse_collection` and `parse_queries` read; ValueError for a text with a
+    line break, which would not read back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for entry_id, text in collection.items():
+            if text.splitlines() != ([text] if text else []):
+                raise ValueError(f"{collection._kind} {entry_id!r}: text has a line break")
+            fh.write(f"{entry_id}\t{text}\n")
+
+
 def serialize_qrels(qrels: Qrels, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for (qid, did), grade in qrels.items():

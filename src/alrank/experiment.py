@@ -565,17 +565,19 @@ class Experiment:
 
     # -- persistence -------------------------------------------------------
 
-    def _start_run_dir(self) -> None:
-        """Delete the iteration, temp, assessment and report files of any
-        earlier run in the directory, then write config.json: the directory
-        holds this run only."""
+    def _start_run_dir(self, provenance: dict | None) -> None:
+        """Delete every file of an earlier run in the directory (data.json,
+        iteration, temp, assessment and report files), write data.json if a
+        provenance is given, then config.json: the directory holds this run only."""
         assert self.out_dir is not None
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        for pattern in ("iter_*", "*.tmp", "assessments.csv"):
+        for pattern in ("data.json", "iter_*", "*.tmp", "assessments.csv"):
             for path in self.out_dir.glob(pattern):
                 path.unlink(missing_ok=True)
         if (self.out_dir / "reports").is_dir():
             shutil.rmtree(self.out_dir / "reports")
+        if provenance is not None:
+            _write_text(self.out_dir / "data.json", json.dumps(provenance, sort_keys=True))
         payload = asdict(self.config)
         payload["fingerprint"] = self.config.fingerprint()
         _write_text(
@@ -600,9 +602,11 @@ class Experiment:
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self) -> list[IterationState]:
+    def run(self, provenance: dict | None = None) -> list[IterationState]:
+        """A new run; in a run directory, `provenance` (see `run_al`) is the
+        data.json that lets `resume_al` rebuild the bundle."""
         if self.out_dir is not None:
-            self._start_run_dir()
+            self._start_run_dir(provenance)
         return self._run_from([], sorted(self.bundle.train_queries.ids()), None)
 
     def resume(self) -> list[IterationState]:
@@ -650,7 +654,7 @@ class Experiment:
                 staging = staging or tempfile.TemporaryDirectory(prefix="alrank-")
                 directory = Path(staging.name)
             path = directory / f"{state.checkpoint_name}.tmp"
-            save_checkpoint(sel_state, path)
+            save_checkpoint(sel_state, path, self.config.ranker)
             return path
 
         def commit(block: bool) -> None:
@@ -953,13 +957,11 @@ def write_run_outputs(config: ExperimentConfig, states: list[IterationState], ou
 
 def run_al(config: ExperimentConfig, provenance: dict, out_dir: str | Path) -> list[IterationState]:
     """A new run in `out_dir` on the data `provenance` names. data.json is
-    written first, so that `resume_al` can rebuild the bundle after a kill."""
+    written before iteration 1, so that `resume_al` can rebuild the bundle
+    after a kill."""
     bundle = bundle_from_provenance(provenance, config)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(out_dir / "data.json", json.dumps(provenance, sort_keys=True))
-    states = Experiment(config, bundle, out_dir).run()
-    write_run_outputs(config, states, out_dir)
+    states = Experiment(config, bundle, out_dir).run(provenance)
+    write_run_outputs(config, states, Path(out_dir))
     return states
 
 

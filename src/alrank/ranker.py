@@ -3,6 +3,11 @@
 All three share a RankNet pairwise loss and plain SGD. Feature/embedding
 hashing is keyed by a config seed so states are fully reproducible.
 
+A ranker state (`RankerState`) is one float64 weight array: cross's `w` of
+shape (dim,), bi's and maxsim's `emb` of shape (hash_buckets, dim). A
+checkpoint stores it after a header with the architecture and the shape, so
+loading under a config refuses a state of another architecture or shape.
+
 A `Ranker` computes what does not depend on the weights once and keeps it.
 The `Ranker` an `Experiment` uses lives as long as its data bundle
 (`experiment.DataBundle.ranker`, one per config), so every `Experiment` built
@@ -35,8 +40,8 @@ query's distinct terms in first-occurrence order, bucket ids sorted), so
 features, scores and trained weights are bit-identical.
 
 Scoring has one path, `Ranker.score_batch`: one query against a list of
-documents. `score`, `rerank`, `mean_loss`, uncertainty and QBC selection and
-evaluation all go through it. Cross computes one `w[idx].dot(vals)` per
+documents. `score`, `rerank`, uncertainty and QBC selection and evaluation
+all go through it. Cross computes one `w[idx].dot(vals)` per
 distinct signature of the list's plan and gathers the documents' scores from
 those; bi scores each document with its own dot product. Maxsim scores each
 chunk of equal-length documents (`_GROUP_FLOATS // (n * dim)` of n tokens)
@@ -123,42 +128,15 @@ class RankerConfig:
         if self.epochs_selection > self.epochs_evaluation:
             raise ValueError("epochs_selection must be <= epochs_evaluation")
 
-    def fingerprint(self) -> str:
-        blob = json.dumps(self.__dict__, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+
+RankerState = np.ndarray  # the one float64 weight array (see the module docstring)
 
 
-@dataclass
-class RankerState:
-    architecture: str
-    arrays: dict[str, np.ndarray]
-    step: int
-    config_fingerprint: str
-
-    def copy(self) -> "RankerState":
-        return RankerState(
-            architecture=self.architecture,
-            arrays={k: v.copy() for k, v in self.arrays.items()},
-            step=self.step,
-            config_fingerprint=self.config_fingerprint,
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RankerState)
-            and self.architecture == other.architecture
-            and self.step == other.step
-            and self.config_fingerprint == other.config_fingerprint
-            and self.arrays.keys() == other.arrays.keys()
-            and all(np.array_equal(self.arrays[k], other.arrays[k]) for k in self.arrays)
-        )
-
-
-def _weights(config: RankerConfig) -> tuple[str, tuple[int, ...]]:
-    """The name and shape of the one weight array of the config's states."""
+def _state_shape(config: RankerConfig) -> tuple[int, ...]:
+    """The shape of the config's states."""
     if config.architecture == "cross":
-        return "w", (config.dim,)
-    return "emb", (config.hash_buckets, config.dim)
+        return (config.dim,)
+    return (config.hash_buckets, config.dim)
 
 
 class _Hasher:
@@ -278,24 +256,13 @@ class Ranker:
         self._bucket_cache: dict[str, np.ndarray] = {}
         # (query, positive, negative) texts -> the prepared triplet
         self._triplet_cache: dict[tuple[str, str, str], _Triplet] = {}
-        self._param, self._shape = _weights(config)
+        self._shape = _state_shape(config)
 
     # -- state management -------------------------------------------------
 
-    def init_state(self, seed: int, zero: bool = False) -> RankerState:
-        cfg = self.config
-        if zero:
-            weights = np.zeros(self._shape)
-        else:
-            rng = np.random.default_rng(seed)
-            bound = 1.0 / math.sqrt(cfg.dim)
-            weights = rng.uniform(-bound, bound, size=self._shape)
-        return RankerState(
-            architecture=cfg.architecture,
-            arrays={self._param: weights},
-            step=0,
-            config_fingerprint=cfg.fingerprint(),
-        )
+    def init_state(self, seed: int) -> RankerState:
+        bound = 1.0 / math.sqrt(self.config.dim)
+        return np.random.default_rng(seed).uniform(-bound, bound, size=self._shape)
 
     # -- feature / token helpers ------------------------------------------
 
@@ -405,25 +372,23 @@ class Ranker:
         """
         self._check_state(state)
         scores = np.zeros(len(doc_texts))
-        arch = state.architecture
+        arch = self.config.architecture
         if arch == "cross":
             if not self._tokens(query_text):
                 return scores
             features, doc_slots = self._cross_plan(query_text, doc_texts)
-            w = state.arrays["w"]
             # one dot per signature; the appended 0.0 is slot -1's score
-            return np.array([w[idx].dot(vals) for idx, vals in features] + [0.0])[doc_slots]
+            return np.array([state[idx].dot(vals) for idx, vals in features] + [0.0])[doc_slots]
         qb = self._buckets(query_text)
         if qb.size == 0:
             return scores
-        emb = state.arrays["emb"]
-        eq = emb[qb]
+        eq = state[qb]
         if arch == "bi":
             vq = eq.mean(axis=0)
             for k, doc_text in enumerate(doc_texts):
                 db = self._buckets(doc_text)
                 if db.size:
-                    scores[k] = vq.dot(emb[db].mean(axis=0))
+                    scores[k] = vq.dot(state[db].mean(axis=0))
             return scores
         # maxsim: docs grouped by token count, each group scored in chunks of
         # one stacked matmul (token-less docs keep 0)
@@ -433,27 +398,27 @@ class Ranker:
             if db.size:
                 groups.setdefault(db.size, []).append(k)
         for n, members in groups.items():
-            per_chunk = max(1, _GROUP_FLOATS // (n * emb.shape[1]))
+            per_chunk = max(1, _GROUP_FLOATS // (n * state.shape[1]))
             for a in range(0, len(members), per_chunk):
                 chunk = members[a : a + per_chunk]
-                docs = emb[np.concatenate([buckets[k] for k in chunk])].reshape(len(chunk), n, -1)
+                docs = state[np.concatenate([buckets[k] for k in chunk])].reshape(len(chunk), n, -1)
                 scores[chunk] = np.matmul(eq, docs.transpose(0, 2, 1)).max(axis=2).sum(axis=1)
         return scores
 
     def encode_query(self, state: RankerState, query_text: str) -> np.ndarray:
         """Length-`dim` query representation used by diversity selection."""
         self._check_state(state)
-        if state.architecture == "cross":
+        if self.config.architecture == "cross":
             if not self._tokens(query_text):
                 return np.zeros(self.config.dim)
             idx, vals = self.cross_features(query_text, None)
             vec = np.zeros(self.config.dim)
             vec[idx] = vals
-            return vec * state.arrays["w"]
+            return vec * state
         qb = self._buckets(query_text)
         if qb.size == 0:
             return np.zeros(self.config.dim)
-        return state.arrays["emb"][qb].mean(axis=0)
+        return state[qb].mean(axis=0)
 
     def rerank(
         self,
@@ -480,15 +445,14 @@ class Ranker:
         query_text: str,
         pos_text: str,
         neg_text: str,
-    ) -> tuple[float, dict[str, np.ndarray]]:
+    ) -> tuple[float, np.ndarray]:
         """RankNet loss and dense gradient for a single triplet: the training
         step's gradient of a one-triplet batch, added into a zero array."""
         self._check_state(state)
-        weights = state.arrays[self._param]
-        grad = np.zeros_like(weights)
+        grad = np.zeros_like(state)
         triplet = self._prepare_triplet(query_text, pos_text, neg_text)
-        [(s_pos, s_neg)], _ = self._batch_gradient(weights, [triplet], grad)
-        return ranknet_loss(s_pos, s_neg, self.config.sigma), {self._param: grad}
+        [(s_pos, s_neg)], _ = self._batch_gradient(state, [triplet], grad)
+        return ranknet_loss(s_pos, s_neg, self.config.sigma), grad
 
     def _prepare_triplet(self, query_text: str, pos_text: str, neg_text: str) -> _Triplet:
         """The part of a triplet's gradient that does not depend on the weights,
@@ -609,21 +573,6 @@ class Ranker:
             _ordered_add(grads, touched[-1], sums)
         return scores, touched
 
-    def mean_loss(
-        self,
-        state: RankerState,
-        triplets: list[TrainingTriplet],
-        corpus: Corpus,
-        queries: QuerySet,
-    ) -> float:
-        total = 0.0
-        for t in triplets:
-            s_pos, s_neg = self.score_batch(
-                state, queries[t.query_id], [corpus[t.positive_id], corpus[t.negative_id]]
-            ).tolist()
-            total += ranknet_loss(s_pos, s_neg, self.config.sigma)
-        return total / len(triplets)
-
     def train(
         self,
         state: RankerState,
@@ -654,8 +603,7 @@ class Ranker:
                     raise ValueError(f"triplet references unknown document {did!r}")
         self._check_state(state)
 
-        new = state.copy()
-        weights = new.arrays[self._param]
+        weights = state.copy()
         batch_grads = np.zeros_like(weights)
         in_batch = np.zeros(len(weights), dtype=bool)  # the rows a batch touched
         prepared = [
@@ -675,39 +623,39 @@ class Ranker:
                 weights[rows] -= cfg.learning_rate * batch_grads[rows] / len(batch)
                 batch_grads[rows] = 0.0
                 in_batch[rows] = False
-                new.step += 1
-        return new
+        return weights
 
     def _check_state(self, state: RankerState) -> None:
-        if state.architecture != self.config.architecture:
+        if state.shape != self._shape:
             raise ValueError(
-                f"state architecture {state.architecture!r} does not match "
-                f"config {self.config.architecture!r}"
+                f"state of shape {state.shape} does not match the "
+                f"{self.config.architecture} config's {self._shape}"
             )
 
 
 # -- checkpointing ---------------------------------------------------------
 
 
-def save_checkpoint(state: RankerState, path) -> None:
-    """Versioned binary checkpoint: JSON header + little-endian float64 arrays."""
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "architecture": state.architecture,
-        "step": state.step,
-        "config_fingerprint": state.config_fingerprint,
-        "arrays": [{"name": k, "shape": list(v.shape)} for k, v in state.arrays.items()],
-    }
+def save_checkpoint(state: RankerState, path, config: RankerConfig) -> None:
+    """Versioned binary checkpoint: a JSON header with the config's
+    architecture and the state's shape, then the state as little-endian float64."""
+    header = {"version": CHECKPOINT_VERSION, "architecture": config.architecture,
+              "shape": list(state.shape)}
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for v in state.arrays.values():
-            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(state, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path, config: RankerConfig | None = None) -> RankerState:
+    """The state a checkpoint holds; with `config`, ValueError unless it has
+    the config's architecture and state shape.
+
+    A header written while a state was a dict of named arrays lists its one
+    array under "arrays" and also holds "step" and "config_fingerprint",
+    which nothing reads."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
@@ -715,39 +663,29 @@ def load_checkpoint(path, config: RankerConfig | None = None) -> RankerState:
     offset = 8 + int.from_bytes(data[4:8], "little")
     if len(data) < offset:
         raise ValueError(f"truncated checkpoint {path}: {len(data)} bytes, header needs {offset}")
-    header = json.loads(data[8:offset])
-    if header["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {header['version']}")
-    shapes = {spec["name"]: tuple(spec["shape"]) for spec in header["arrays"]}
-    expected = offset + 8 * sum(math.prod(shape) for shape in shapes.values())
+    try:
+        header = json.loads(data[8:offset])
+        if header["version"] != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported version {header['version']!r}")
+        architecture = header["architecture"]
+        [spec] = header["arrays"] if "arrays" in header else [header]
+        shape = tuple(spec["shape"])
+        if architecture not in ARCHITECTURES or not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"architecture {architecture!r}, shape {shape}")
+    except (ValueError, KeyError, TypeError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        raise ValueError(f"unreadable checkpoint header in {path}: {error}") from None
+    expected = offset + 8 * math.prod(shape)
     if len(data) < expected:
         raise ValueError(
-            f"truncated checkpoint {path}: {len(data)} bytes, arrays need {expected}"
+            f"truncated checkpoint {path}: {len(data)} bytes, the state needs {expected}"
         )
-    arrays = {}
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        data_view = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        arrays[name] = data_view.reshape(shape).astype(np.float64)
-        offset += 8 * count
-    state = RankerState(
-        architecture=header["architecture"],
-        arrays=arrays,
-        step=header["step"],
-        config_fingerprint=header["config_fingerprint"],
-    )
-    if config is not None:
-        if config.architecture != state.architecture:
-            raise ValueError(
-                f"checkpoint architecture {state.architecture!r} does not match "
-                f"config {config.architecture!r}"
-            )
-        # a state of another shape would be scored and trained with the
-        # config's hashing without an error
-        name, shape = _weights(config)
-        if shapes.get(name) != shape:
-            raise ValueError(
-                f"checkpoint {path} holds arrays of shapes {shapes}; "
-                f"the config expects {name!r} of shape {shape}"
-            )
-    return state
+    # a state of another shape would be scored and trained with the config's
+    # hashing without an error; a bi state has a maxsim state's shape
+    if config is not None and (architecture, shape) != (config.architecture, _state_shape(config)):
+        raise ValueError(
+            f"checkpoint {path} holds a state of architecture {architecture!r}, shape {shape}; "
+            f"the config expects {config.architecture!r}, {_state_shape(config)}"
+        )
+    state = np.frombuffer(data, dtype="<f8", count=math.prod(shape), offset=offset)
+    return state.reshape(shape).astype(np.float64)

@@ -1,3 +1,8 @@
+import hashlib
+import json
+import struct
+from pathlib import Path
+
 import pytest
 
 from alrank.datamodel import Corpus, Qrels, QuerySet
@@ -55,3 +60,27 @@ def small_corpus() -> Corpus:
 @pytest.fixture
 def desk_ranker_config() -> RankerConfig:
     return RankerConfig(**DESK_RANKER)
+
+
+@pytest.fixture
+def write_legacy_checkpoint():
+    """Writes a state in the checkpoint layout of before a state was one array:
+    the header lists the array by name and carries the training step and the
+    ranker config's fingerprint."""
+
+    def write(path, state, config: RankerConfig, step: int = 0) -> None:
+        fingerprint = hashlib.sha256(json.dumps(config.__dict__, sort_keys=True).encode())
+        header = {
+            "version": 1,
+            "architecture": config.architecture,
+            "step": step,
+            "config_fingerprint": fingerprint.hexdigest()[:16],
+            "arrays": [{"name": "w" if config.architecture == "cross" else "emb",
+                        "shape": list(state.shape)}],
+        }
+        blob = json.dumps(header, sort_keys=True).encode()
+        Path(path).write_bytes(
+            b"ALRK" + struct.pack("<I", len(blob)) + blob + state.astype("<f8").tobytes()
+        )
+
+    return write

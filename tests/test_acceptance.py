@@ -216,9 +216,8 @@ def test_criterion_3_gradient_checks():
             neg = " ".join(rng.choice(vocab, size=rng.integers(1, 5)))
             state = ranker.init_state(instance)
             _, grads = ranker.loss_and_gradient(state, query, pos, neg)
-            name = "w" if architecture == "cross" else "emb"
-            flat = state.arrays[name].ravel()
-            gflat = grads[name].ravel()
+            flat = state.ravel()
+            gflat = grads.ravel()
             probe = rng.choice(flat.size, size=min(8, flat.size), replace=False)
             for j in probe:
                 orig = flat[j]

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from alrank import experiment
+from alrank import datamodel, experiment
 from alrank.budget import CostConfig
 from alrank.cli import DESK_PROFILE, _load_config, build_parser, config_from_dict, main
 from alrank.experiment import Experiment, ExperimentConfig, load_run
-from alrank.ranker import RankerConfig
+from alrank.ranker import RankerConfig, load_checkpoint
 from alrank.selection import SelectionConfig
+from alrank.synthetic import SyntheticSpec, generate_synthetic
 
 SMALL_RANKER = [
     "--set", "dim=64", "--set", "hash_buckets=128",
@@ -135,6 +136,15 @@ class TestMakeSynthetic:
         assert len((synthetic_dir / "corpus.tsv").read_text().splitlines()) == 72
         assert len((synthetic_dir / "queries_train.tsv").read_text().splitlines()) == 15
 
+    def test_files_parse_back_to_the_generated_bundle(self, synthetic_dir):
+        spec = SyntheticSpec(topics=3, docs_per_topic=24, queries_per_topic=5,
+                             test_queries_per_topic=2, rel_per_query=2)
+        corpus, train_q, test_q, qrels = generate_synthetic(spec, 3)
+        assert datamodel.parse_collection(synthetic_dir / "corpus.tsv") == corpus
+        assert datamodel.parse_queries(synthetic_dir / "queries_train.tsv") == train_q
+        assert datamodel.parse_queries(synthetic_dir / "queries_test.tsv") == test_q
+        assert datamodel.parse_qrels(synthetic_dir / "qrels.txt") == qrels
+
 
 class TestIndexAndRetrieve:
     def test_round_trip(self, synthetic_dir, tmp_path, capsys):
@@ -208,6 +218,21 @@ class TestCostCalc:
         ledger = self._ledger(tmp_path, header="iteration,query_id,outcome,assessments,negative_id")
         code, _, err = run_cli(capsys, "cost-calc", "--ledger", str(ledger))
         assert code == 1 and "lacks columns positive_id" in err
+
+    @pytest.mark.parametrize("row, column, cell", [
+        ("abc,q2,triplet,45,p,n", "iteration", "'abc'"),
+        ("2,q2,triplet,4.5,p,n", "assessments", "'4.5'"),
+        ("2,q2,triplet", "assessments", "None"),  # a short row
+    ])
+    def test_non_integer_cell_names_file_line_and_column(self, tmp_path, capsys, row, column, cell):
+        ledger = tmp_path / "assessments.csv"
+        ledger.write_text(
+            "iteration,query_id,outcome,assessments,positive_id,negative_id\n"
+            f"1,q1,triplet,30,p,n\n{row}\n"
+        )
+        code, out, err = run_cli(capsys, "cost-calc", "--ledger", str(ledger))
+        assert code == 1 and not out
+        assert err == f"error: {ledger}:3: column '{column}': not an integer: {cell}\n"
 
     def test_config_is_run_al_json(self, tmp_path, capsys):
         # the same flat file run-al reads; only its cost keys change the report
@@ -448,6 +473,73 @@ class TestRunDirectory:
             main(argv + ["--seed", "7"])
         assert json.loads((tmp_path / "config.json").read_text())["master_seed"] == 7
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.json"]
+
+    def test_run_into_a_run_al_dir_leaves_no_earlier_data(self, tmp_path, capsys):
+        """`Experiment.run()` into a directory run-al used deletes its
+        data.json too, so resume cannot rebuild the earlier run's data and
+        mix it with this run's iterations."""
+        argv = ["run-al", "--synthetic", "--synthetic-seed", "0", "--strategy", "random",
+                "--iterations", "2", "--batch", "5", "--seed", "0", *SMALL_RANKER]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        config, _, _ = load_run(tmp_path)
+        seed_5 = experiment.bundle_from_provenance({"kind": "synthetic", "seed": 5}, config)
+        Experiment(config, seed_5, tmp_path).run()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "iter_0001.ckpt", "iter_0001.json", "iter_0002.ckpt", "iter_0002.json",
+        ]
+        for name in ("iter_0002.json", "iter_0002.ckpt"):
+            (tmp_path / name).unlink()
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "resume", "--out", str(tmp_path))
+        assert code == 1 and not out
+        assert err.count("\n") == 1 and err.startswith("error: ") and "data.json" in err
+        assert not (tmp_path / "iter_0002.json").exists()
+
+    def test_resume_from_legacy_checkpoints_equals_uninterrupted_bytes(
+        self, tmp_path, capsys, write_legacy_checkpoint
+    ):
+        """A run directory cut after iteration 2 whose checkpoints have the
+        layout of before a state was one array (a named array, a step and a
+        config fingerprint) resumes to the uninterrupted run's bytes."""
+        argv = [
+            "run-al", "--synthetic", "--strategy", "uncertainty", "--iterations", "3",
+            "--batch", "5", "--seed", "0", *SMALL_RANKER,
+        ]
+        full = tmp_path / "full"
+        assert main(argv + ["--out", str(full)]) == 0
+        cut = Path(shutil.copytree(full, tmp_path / "cut"))
+        for name in ("iter_0003.json", "iter_0003.ckpt", "assessments.csv"):
+            (cut / name).unlink()
+        shutil.rmtree(cut / "reports")
+        config = load_run(full)[0].ranker
+        legacy = ["iter_0001.ckpt", "iter_0002.ckpt"]
+        for step, name in enumerate(legacy, start=1):
+            write_legacy_checkpoint(cut / name, load_checkpoint(full / name), config, step)
+            assert (cut / name).read_bytes() != (full / name).read_bytes()
+
+        code, _, err = run_cli(capsys, "resume", "--out", str(cut))
+        assert code == 0, err
+        got, want = run_files(cut), run_files(full)
+        for name in legacy:
+            old, new = load_checkpoint(cut / name, config), load_checkpoint(full / name, config)
+            assert old.tobytes() == new.tobytes()
+            del got[name], want[name]
+        assert got == want
+
+    @pytest.mark.parametrize("blob", [b"{}", b"[1]", b"{"],
+                             ids=["missing-key", "not-an-object", "bad-json"])
+    def test_malformed_initial_checkpoint_is_one_error_line(self, tmp_path, capsys, blob):
+        ckpt = tmp_path / "start.ckpt"
+        ckpt.write_bytes(b"ALRK" + len(blob).to_bytes(4, "little") + blob)
+        code, out, err = run_cli(
+            capsys, "run-al", "--synthetic", "--scenario", "retrain", "--initial-checkpoint",
+            str(ckpt), "--iterations", "1", "--batch", "5", *SMALL_RANKER,
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 1 and not out
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: unreadable checkpoint header in {ckpt}: ")
+        assert not (tmp_path / "run").exists()
 
     def test_load_run_returns_the_written_config(self, tiny_bundle, tmp_path):
         config = ExperimentConfig(

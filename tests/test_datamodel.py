@@ -10,13 +10,16 @@ from alrank.datamodel import (
     Corpus,
     ParseError,
     Qrels,
+    QuerySet,
     RankedList,
     Run,
     TrainingTriplet,
     _check_id,
     parse_collection,
     parse_qrels,
+    parse_queries,
     parse_run,
+    serialize_collection,
     serialize_run,
 )
 from alrank.experiment import make_bundle
@@ -155,6 +158,37 @@ class TestIdentifiers:
             if not chr(c).isspace():
                 doc_id = f"d{chr(c)}1"
                 assert _check_id(doc_id, "document") == doc_id
+
+
+def _one_line(text: str) -> bool:
+    return text.splitlines() == ([text] if text else [])
+
+
+@given(
+    st.dictionaries(
+        st.from_regex(r"[A-Za-z0-9_.\-]{1,8}", fullmatch=True),
+        st.text(max_size=20).filter(_one_line),  # tabs, empty and non-ASCII texts included
+        max_size=6,
+    ),
+    st.sampled_from([(Corpus, parse_collection), (QuerySet, parse_queries)]),
+)
+@settings(max_examples=100, deadline=None)
+def test_collection_round_trip_property(tmp_path_factory, entries, kind):
+    """Parsing what `serialize_collection` wrote gives back an equal
+    collection, entries in the same order."""
+    cls, parse = kind
+    collection = cls(entries, permissive=True)
+    path = tmp_path_factory.mktemp("tsv") / "c.tsv"
+    serialize_collection(collection, path)
+    parsed = parse(path, permissive=True)
+    assert type(parsed) is cls and parsed == collection
+    assert list(parsed.items()) == list(collection.items())
+
+
+@pytest.mark.parametrize("text", ["two\nlines", "ends\n", "carriage\rreturn", "line\u2028sep"])
+def test_serialize_collection_rejects_a_line_break(tmp_path, text):
+    with pytest.raises(ValueError, match="document 'd2': text has a line break"):
+        serialize_collection(Corpus({"d1": "fine", "d2": text}), tmp_path / "c.tsv")
 
 
 class TestTriplets:

@@ -7,6 +7,7 @@ import time
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,14 +146,15 @@ class TestRunLoop:
 
         warm = Ranker(ranker_cfg).init_state(99)
         ckpt = tmp_path / "warm.ckpt"
-        save_checkpoint(warm, ckpt)
+        save_checkpoint(warm, ckpt, ranker_cfg)
         config = tiny_config(scenario="retrain", initial_checkpoint=str(ckpt))
         exp = Experiment(config, tiny_bundle)
-        assert exp._start_state == warm
+        assert exp._start_state.tobytes() == warm.tobytes()
 
     def test_retrain_checkpoint_of_another_dim_rejected(self, tiny_bundle, tmp_path):
         ckpt = tmp_path / "wide.ckpt"
-        save_checkpoint(Ranker(replace(TINY_RANKER, dim=128)).init_state(99), ckpt)
+        wide = Ranker(replace(TINY_RANKER, dim=128))
+        save_checkpoint(wide.init_state(99), ckpt, wide.config)
         config = tiny_config(scenario="retrain", initial_checkpoint=str(ckpt))
         with pytest.raises(ValueError, match=r"wide\.ckpt .*\(128,\).*\(64,\)"):
             Experiment(config, tiny_bundle)
@@ -367,7 +369,8 @@ class TestSelection:
         sel = exp._select(2, 3, pool, prev, triplets)
         assert sel.unit == "query"
         committee, _ = exp._train_committee(2, triplets)
-        assert sel.walk_state == committee[0] and sel.walk_state != prev
+        assert np.array_equal(sel.walk_state, committee[0])
+        assert not np.array_equal(sel.walk_state, prev)
         assert sel.hours == committee_hours(exp.config, len(triplets)) > 0.0
 
 
@@ -702,8 +705,7 @@ class TestEvaluationWorker:
         the waits force it."""
 
         def state_digest(self, state):
-            blob = b"".join(state.arrays[k].tobytes() for k in sorted(state.arrays))
-            return int.from_bytes(hashlib.sha256(blob).digest()[:6], "little") / 2**48
+            return int.from_bytes(hashlib.sha256(state.tobytes()).digest()[:6], "little") / 2**48
 
         monkeypatch.setattr(Experiment, "evaluate", state_digest)
         config = tiny_config(

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -127,7 +129,7 @@ class TestScoring:
     def test_zero_weights_score_zero(self):
         for arch in ("cross", "bi", "maxsim"):
             ranker = small_ranker(arch)
-            state = ranker.init_state(0, zero=True)
+            state = np.zeros_like(ranker.init_state(0))
             assert ranker.score(state, "apple pear", "pear fig") == 0.0
 
     def test_empty_texts_score_zero(self):
@@ -139,7 +141,7 @@ class TestScoring:
     def test_maxsim_single_query_token(self):
         ranker = small_ranker("maxsim")
         state = ranker.init_state(5)
-        emb = state.arrays["emb"]
+        emb = state
         h = ranker._hasher
         b = ranker.config.hash_buckets
         e_q, e_a, e_b = (emb[h.bucket(t, b)] for t in ("q0", "alpha", "beta"))
@@ -157,7 +159,7 @@ class TestScoring:
             d = " ".join(rng.choice(vocab, size=rng.integers(1, 6)))
             phi = oracle_cross_features(q, d, cfg.dim, cfg.hash_seed)
             assert ranker.score(state, q, d) == pytest.approx(
-                float(state.arrays["w"] @ phi), rel=1e-12, abs=1e-15
+                float(state @ phi), rel=1e-12, abs=1e-15
             )
 
     def test_bi_repeated_token_mean(self):
@@ -225,7 +227,7 @@ class TestCrossFeatureExactness:
             want = np.zeros(4)
             if idx.size:
                 want[idx] = vals
-                want = want * state.arrays["w"]
+                want = want * state
             assert _same_bytes(ranker.encode_query(state, q), want), q
 
     def test_doc_free_features_do_not_depend_on_call_order(self):
@@ -297,7 +299,7 @@ class TestRerank:
     def test_zero_state_falls_back_to_docid_order(self):
         corpus = Corpus({"b": "x", "a": "y", "c": "z"})
         ranker = small_ranker("bi")
-        state = ranker.init_state(0, zero=True)
+        state = np.zeros_like(ranker.init_state(0))
         candidates = RankedList("q", [("b", 3.0), ("a", 2.0), ("c", 1.0)])
         assert ranker.rerank(state, "x", candidates, corpus).doc_ids() == ["a", "b", "c"]
 
@@ -337,11 +339,10 @@ def _finite_difference_check(arch, seed, rel_tol=1e-4):
     q = " ".join(rng.choice(vocab, size=rng.integers(1, 4), replace=False))
     pos = " ".join(rng.choice(vocab, size=rng.integers(1, 5), replace=False))
     neg = " ".join(rng.choice(vocab, size=rng.integers(1, 5), replace=False))
-    _, grads = ranker.loss_and_gradient(state, q, pos, neg)
+    _, grad = ranker.loss_and_gradient(state, q, pos, neg)
     h = 1e-4
-    name = next(iter(state.arrays))
-    w = state.arrays[name]
-    flat_grad = grads[name].ravel()
+    w = state
+    flat_grad = grad.ravel()
     # probe a subset of coordinates for speed
     idx = rng.choice(w.size, size=min(w.size, 40), replace=False)
     for i in idx:
@@ -373,25 +374,26 @@ def _oracle_loss_and_gradient(ranker, state, query, pos, neg):
     triplet, filled with np.add.at for the positive and then the negative doc."""
     s_pos, s_neg = ranker.score(state, query, pos), ranker.score(state, query, neg)
     g_pos, g_neg = ranknet_gradient(s_pos, s_neg, ranker.config.sigma)
-    grads = {k: np.zeros_like(v) for k, v in state.arrays.items()}
+    grad = np.zeros_like(state)
+    arch = ranker.config.architecture
     for doc, g in ((pos, g_pos), (neg, g_neg)):
         if not tokenize(query) or not tokenize(doc):
             continue
-        if state.architecture == "cross":
+        if arch == "cross":
             idx, vals = ranker.cross_features(query, doc)
-            np.add.at(grads["w"], idx, g * vals)
+            np.add.at(grad, idx, g * vals)
             continue
         qb, db = ranker._buckets(query), ranker._buckets(doc)
-        emb = state.arrays["emb"]
-        if state.architecture == "bi":
+        emb = state
+        if arch == "bi":
             vq, vd = emb[qb].mean(axis=0), emb[db].mean(axis=0)
-            np.add.at(grads["emb"], qb, g * vd / qb.size)
-            np.add.at(grads["emb"], db, g * vq / db.size)
+            np.add.at(grad, qb, g * vd / qb.size)
+            np.add.at(grad, db, g * vq / db.size)
             continue
         best = (emb[qb] @ emb[db].T).argmax(axis=1)
-        np.add.at(grads["emb"], qb, g * emb[db[best]])
-        np.add.at(grads["emb"], db[best], g * emb[qb])
-    return ranknet_loss(s_pos, s_neg, ranker.config.sigma), grads
+        np.add.at(grad, qb, g * emb[db[best]])
+        np.add.at(grad, db[best], g * emb[qb])
+    return ranknet_loss(s_pos, s_neg, ranker.config.sigma), grad
 
 
 def _oracle_train(ranker, state, triplets, corpus, queries, epochs, seed):
@@ -405,17 +407,25 @@ def _oracle_train(ranker, state, triplets, corpus, queries, epochs, seed):
         rng.shuffle(order)
         for start in range(0, len(order), cfg.batch_size):
             batch = [triplets[i] for i in order[start : start + cfg.batch_size]]
-            batch_grads = {k: np.zeros_like(v) for k, v in new.arrays.items()}
+            batch_grad = np.zeros_like(new)
             for t in batch:
-                _, grads = _oracle_loss_and_gradient(
+                _, grad = _oracle_loss_and_gradient(
                     ranker, new, queries[t.query_id], corpus[t.positive_id], corpus[t.negative_id]
                 )
-                for k, g in grads.items():
-                    batch_grads[k] += g
-            for k in new.arrays:
-                new.arrays[k] -= cfg.learning_rate * batch_grads[k] / len(batch)
-            new.step += 1
+                batch_grad += grad
+            new -= cfg.learning_rate * batch_grad / len(batch)
     return new
+
+
+def mean_loss(ranker, state, triplets, corpus, queries) -> float:
+    """Mean RankNet loss of the triplets, each scored in one `score_batch`."""
+    losses = [
+        ranknet_loss(*ranker.score_batch(
+            state, queries[t.query_id], [corpus[t.positive_id], corpus[t.negative_id]]
+        ).tolist(), ranker.config.sigma)
+        for t in triplets
+    ]
+    return sum(losses) / len(losses)
 
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -472,12 +482,10 @@ class TestSparseTrainingExactness:
             texts = (
                 self.QUERIES[t.query_id], self.CORPUS[t.positive_id], self.CORPUS[t.negative_id]
             )
-            loss, grads = ranker.loss_and_gradient(state, *texts)
+            loss, grad = ranker.loss_and_gradient(state, *texts)
             want_loss, want = _oracle_loss_and_gradient(ranker, state, *texts)
             assert loss == want_loss
-            assert grads.keys() == want.keys()
-            assert all(np.array_equal(grads[k], want[k]) for k in want), t
-            assert all(_same_bytes(grads[k], want[k]) for k in want), t
+            assert _same_bytes(grad, want), t
 
     @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
     def test_train_equals_dense_oracle(self, arch):
@@ -486,9 +494,8 @@ class TestSparseTrainingExactness:
         args = (self.TRIPLETS, self.CORPUS, self.QUERIES, 4, 7)
         trained = ranker.train(state, *args)
         want = _oracle_train(ranker, state, *args)
-        assert trained == want
-        assert all(_same_bytes(trained.arrays[k], want.arrays[k]) for k in want.arrays)
-        assert trained != state
+        assert _same_bytes(trained, want)
+        assert not np.array_equal(trained, state)
 
     @pytest.mark.parametrize("batch_size", [1, 50])
     @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
@@ -499,9 +506,8 @@ class TestSparseTrainingExactness:
         args = (self.TRIPLETS, self.CORPUS, self.QUERIES, 3, 2)
         trained = ranker.train(state, *args)
         want = _oracle_train(ranker, state, *args)
-        assert trained.step == want.step == 3 * (7 if batch_size == 1 else 1)
-        assert all(_same_bytes(trained.arrays[k], want.arrays[k]) for k in want.arrays)
-        assert trained != state
+        assert _same_bytes(trained, want)
+        assert not np.array_equal(trained, state)
 
     @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
     def test_prepared_triplets_reused_over_batches_and_epochs(self, arch):
@@ -518,9 +524,8 @@ class TestSparseTrainingExactness:
         args = (triplets, self.CORPUS, self.QUERIES, 6, 3)
         trained = ranker.train(state, *args)
         want = _oracle_train(ranker, state, *args)
-        assert trained.step == want.step == 30
-        assert all(_same_bytes(trained.arrays[k], want.arrays[k]) for k in want.arrays)
-        assert trained != state
+        assert _same_bytes(trained, want)
+        assert not np.array_equal(trained, state)
 
     @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
     def test_warm_ranker_trains_to_the_state_of_a_fresh_one(self, arch):
@@ -540,11 +545,9 @@ class TestSparseTrainingExactness:
         state = fresh.init_state(6)
         args = (triplets, corpus, queries, 3, 4)
         got, want = warm.train(state, *args), fresh.train(state, *args)
-        assert got.step == want.step
-        assert all(_same_bytes(got.arrays[k], want.arrays[k]) for k in want.arrays)
+        assert _same_bytes(got, want)
         assert all(warm._triplet_cache[key] is value for key, value in prepared.items())
-        assert all(_same_bytes(got.arrays[k], v) for k, v in
-                   _oracle_train(fresh, state, *args).arrays.items())
+        assert _same_bytes(got, _oracle_train(fresh, state, *args))
 
     @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
     def test_realistic_width_equals_dense_oracle_bytes(self, arch):
@@ -553,15 +556,14 @@ class TestSparseTrainingExactness:
         state = ranker.init_state(2)
         for t in triplets:
             texts = (queries[t.query_id], corpus[t.positive_id], corpus[t.negative_id])
-            _, grads = ranker.loss_and_gradient(state, *texts)
+            _, grad = ranker.loss_and_gradient(state, *texts)
             _, want = _oracle_loss_and_gradient(ranker, state, *texts)
-            assert all(_same_bytes(grads[k], want[k]) for k in want), t
+            assert _same_bytes(grad, want), t
         args = (triplets, corpus, queries, 3, 5)
         trained = ranker.train(state, *args)
         want = _oracle_train(ranker, state, *args)
-        assert trained == want
-        assert all(_same_bytes(trained.arrays[k], want.arrays[k]) for k in want.arrays)
-        assert trained != state
+        assert _same_bytes(trained, want)
+        assert not np.array_equal(trained, state)
 
 
 _floats = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(
@@ -607,8 +609,7 @@ def test_training_groups_equal_dense_oracle_bytes(arch, group_floats, monkeypatc
     args = (triplets, corpus, queries, 2, 1)
     trained = ranker.train(state, *args)
     want = _oracle_train(ranker, state, *args)
-    assert trained == want
-    assert all(_same_bytes(trained.arrays[k], want.arrays[k]) for k in want.arrays)
+    assert _same_bytes(trained, want)
 
 
 def _oracle_score(ranker, state, query, doc):
@@ -616,12 +617,13 @@ def _oracle_score(ranker, state, query, doc):
     both texts on every call (cross: from features computed per call)."""
     if not tokenize(query) or not tokenize(doc):
         return 0.0
-    if state.architecture == "cross":
+    arch = ranker.config.architecture
+    if arch == "cross":
         idx, vals = per_call_cross_features(query, doc, ranker.config.dim, ranker.config.hash_seed)
-        return float(state.arrays["w"][idx] @ vals)
-    emb = state.arrays["emb"]
+        return float(state[idx] @ vals)
+    emb = state
     qb, db = ranker._buckets(query), ranker._buckets(doc)
-    if state.architecture == "bi":
+    if arch == "bi":
         return float(emb[qb].mean(axis=0) @ emb[db].mean(axis=0))
     return float((emb[qb] @ emb[db].T).max(axis=1).sum())
 
@@ -672,7 +674,7 @@ class TestScoreBatchExactness:
                          _oracle_score(ranker, state, queries[3], corpus[t.negative_id]))
             for t in triplets
         ]
-        assert ranker.mean_loss(state, triplets, corpus, query_set) == sum(losses) / len(losses)
+        assert mean_loss(ranker, state, triplets, corpus, query_set) == sum(losses) / len(losses)
 
 
 class TestMaxSimStackedScoring:
@@ -710,8 +712,7 @@ class TestMaxSimStackedScoring:
         ranker = small_ranker("maxsim", dim=512, buckets=512)
         state = ranker.init_state(5)
         self._check(ranker, state)
-        trained = state.copy()
-        trained.arrays["emb"] *= np.random.default_rng(1).normal(size=trained.arrays["emb"].shape)
+        trained = state * np.random.default_rng(1).normal(size=state.shape)
         self._check(ranker, trained)
 
     @pytest.mark.parametrize("group_floats", [1, 3 * 16 * 512])
@@ -746,7 +747,7 @@ class TestCrossPlan:
         triplets = [TrainingTriplet("q", "d2", "d4"), TrainingTriplet("q", "d8", "d0"),
                     TrainingTriplet("r", "d4", "d2")]
         trained = ranker.train(state, triplets, corpus, queries, epochs=5, seed=1)
-        assert not np.array_equal(trained.arrays["w"], state.arrays["w"])
+        assert not np.array_equal(trained, state)
         return corpus, [state, trained]
 
     @staticmethod
@@ -877,9 +878,9 @@ class TestTraining:
         for arch in ("cross", "bi", "maxsim"):
             ranker = small_ranker(arch, learning_rate=0.1)
             state = ranker.init_state(0)
-            before = ranker.mean_loss(state, triplets, corpus, queries)
+            before = mean_loss(ranker, state, triplets, corpus, queries)
             trained = ranker.train(state, triplets, corpus, queries, epochs=20, seed=1)
-            after = ranker.mean_loss(trained, triplets, corpus, queries)
+            after = mean_loss(ranker, trained, triplets, corpus, queries)
             assert after < before, arch
 
     def test_training_is_pure_and_deterministic(self):
@@ -888,18 +889,18 @@ class TestTraining:
         state = ranker.init_state(5)
         snapshot = state.copy()
         a = ranker.train(state, triplets, corpus, queries, epochs=3, seed=9)
-        assert state == snapshot  # input untouched
+        assert _same_bytes(state, snapshot)  # input untouched
         b = ranker.train(state, triplets, corpus, queries, epochs=3, seed=9)
-        assert a == b
+        assert _same_bytes(a, b)
         c = ranker.train(state, triplets, corpus, queries, epochs=3, seed=10)
-        assert a != c
+        assert not np.array_equal(a, c)
 
     def test_zero_learning_rate_keeps_state(self):
         corpus, queries, triplets = self._setup()
         ranker = small_ranker("bi", learning_rate=0.0)
         state = ranker.init_state(2)
         trained = ranker.train(state, triplets, corpus, queries, epochs=1, seed=0)
-        np.testing.assert_array_equal(trained.arrays["emb"], state.arrays["emb"])
+        np.testing.assert_array_equal(trained, state)
 
     def test_batch_size_below_one_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
@@ -936,18 +937,45 @@ class TestCheckpoint:
         for arch in ("cross", "bi", "maxsim"):
             ranker = small_ranker(arch)
             state = ranker.init_state(3)
-            state.step = 17
             path = tmp_path / f"{arch}.ckpt"
-            save_checkpoint(state, path)
-            loaded = load_checkpoint(path)
-            assert loaded == state
+            save_checkpoint(state, path, ranker.config)
+            assert _same_bytes(load_checkpoint(path), state)
+            assert _same_bytes(load_checkpoint(path, ranker.config), state)
 
-    def test_architecture_mismatch(self, tmp_path):
-        ranker = small_ranker("cross")
-        path = tmp_path / "c.ckpt"
-        save_checkpoint(ranker.init_state(0), path)
+    def test_header_holds_architecture_and_shape(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(small_ranker("maxsim").init_state(0), path, small_ranker("maxsim").config)
+        data = path.read_bytes()
+        size = int.from_bytes(data[4:8], "little")
+        header = json.loads(data[8 : 8 + size])
+        assert header == {"version": 1, "architecture": "maxsim", "shape": [48, 16]}
+        assert len(data) == 8 + size + 8 * 48 * 16
+
+    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    def test_legacy_layout_loads_bit_identical(self, tmp_path, arch, write_legacy_checkpoint):
+        """A checkpoint written while a state was a dict of named arrays, with
+        a step and a config fingerprint in its header, loads to its weights."""
+        corpus = Corpus({"d1": "apple pear", "d2": "kiwi plum fig"})
+        queries = QuerySet({"q1": "apple", "q2": "plum fig"})
+        triplets = [TrainingTriplet("q1", "d1", "d2"), TrainingTriplet("q2", "d2", "d1")]
+        ranker = small_ranker(arch, batch_size=1)
+        trained = ranker.train(ranker.init_state(1), triplets, corpus, queries, epochs=3, seed=2)
+        path = tmp_path / "old.ckpt"
+        write_legacy_checkpoint(path, trained, ranker.config, step=6)
+        for config in (None, ranker.config):
+            assert _same_bytes(load_checkpoint(path, config), trained)
+        other = "maxsim" if arch == "bi" else "bi"
         with pytest.raises(ValueError, match="architecture"):
-            load_checkpoint(path, RankerConfig(architecture="bi"))
+            load_checkpoint(path, small_ranker(other).config)
+
+    @pytest.mark.parametrize("saved, wanted", [("cross", "bi"), ("bi", "maxsim"), ("maxsim", "bi")])
+    def test_architecture_mismatch(self, tmp_path, saved, wanted):
+        # bi and maxsim states have one shape: only the header tells them apart
+        ranker = small_ranker(saved)
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(ranker.init_state(0), path, ranker.config)
+        with pytest.raises(ValueError, match="architecture"):
+            load_checkpoint(path, small_ranker(wanted).config)
 
     @pytest.mark.parametrize("arch, saved, wanted, found, expected", [
         ("cross", dict(dim=1024), dict(dim=512), "(1024,)", "(512,)"),
@@ -961,12 +989,20 @@ class TestCheckpoint:
         without an error, so loading it under that config fails."""
         path = tmp_path / f"{arch}.ckpt"
         saved_ranker = small_ranker(arch, **saved)
-        save_checkpoint(saved_ranker.init_state(0), path)
+        save_checkpoint(saved_ranker.init_state(0), path, saved_ranker.config)
         with pytest.raises(ValueError) as exc:
             load_checkpoint(path, small_ranker(arch, **wanted).config)
         message = str(exc.value)
         assert str(path) in message and found in message and expected in message
-        assert load_checkpoint(path, saved_ranker.config) == saved_ranker.init_state(0)
+        assert _same_bytes(load_checkpoint(path, saved_ranker.config), saved_ranker.init_state(0))
+
+    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    def test_state_of_another_shape_rejected(self, arch):
+        ranker, wide = small_ranker(arch), small_ranker(arch, dim=32)
+        with pytest.raises(ValueError, match=r"shape .*does not match"):
+            ranker.score(wide.init_state(0), "apple", "pear")
+        with pytest.raises(ValueError, match=r"shape .*does not match"):
+            ranker.encode_query(wide.init_state(0), "apple")
 
     def test_scores_identical_after_reload(self, tmp_path):
         corpus = Corpus({"d1": "apple pear", "d2": "kiwi plum fig"})
@@ -975,7 +1011,7 @@ class TestCheckpoint:
         ranker = small_ranker("maxsim", learning_rate=0.05)
         trained = ranker.train(ranker.init_state(1), triplets, corpus, queries, epochs=5, seed=2)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(trained, path)
+        save_checkpoint(trained, path, ranker.config)
         loaded = load_checkpoint(path)
         rng = np.random.default_rng(0)
         vocab = ["apple", "pear", "kiwi", "plum", "fig"]
@@ -986,7 +1022,8 @@ class TestCheckpoint:
 
     def test_truncated_checkpoint_names_the_file(self, tmp_path):
         path = tmp_path / "t.ckpt"
-        save_checkpoint(small_ranker("maxsim").init_state(0), path)
+        ranker = small_ranker("maxsim")
+        save_checkpoint(ranker.init_state(0), path, ranker.config)
         data = path.read_bytes()
         for size in (len(data) - 1, 20, 6):
             path.write_bytes(data[:size])
@@ -997,4 +1034,34 @@ class TestCheckpoint:
         path = tmp_path / "x.ckpt"
         path.write_bytes(b"nope")
         with pytest.raises(ValueError, match="not a ranker checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob", [
+        b"{}",  # every key missing
+        b'{"architecture": "cross", "shape": [16]}',  # no version
+        b'{"version": 1, "shape": [16]}',  # no architecture
+        b'{"version": 1, "architecture": "cross"}',  # no shape
+        b"[1, 2]",
+        b'"cross"',
+        b"7",
+        b"{",
+        b"\xff\xfe",
+        b'{"version": 1, "architecture": "cross", "shape": 16}',
+        b'{"version": 1, "architecture": "cross", "shape": [-16]}',
+        b'{"version": 1, "architecture": "cross", "shape": [16.0]}',
+        b'{"version": 1, "architecture": "dense", "shape": [16]}',
+        b'{"version": 1, "architecture": "cross", "arrays": []}',
+        b'{"version": 1, "architecture": "cross", "arrays": [{"name": "w"}]}',
+    ])
+    def test_malformed_header_names_the_file(self, tmp_path, blob):
+        path = tmp_path / "h.ckpt"
+        path.write_bytes(b"ALRK" + struct.pack("<I", len(blob)) + blob + bytes(8 * 16))
+        with pytest.raises(ValueError, match=r"unreadable checkpoint header in .*h\.ckpt"):
+            load_checkpoint(path, small_ranker("cross").config)
+
+    def test_unsupported_version_names_the_file(self, tmp_path):
+        path = tmp_path / "v.ckpt"
+        blob = b'{"version": 2, "architecture": "cross", "shape": [16]}'
+        path.write_bytes(b"ALRK" + struct.pack("<I", len(blob)) + blob + bytes(8 * 16))
+        with pytest.raises(ValueError, match=r"header in .*v\.ckpt: .*unsupported version 2"):
             load_checkpoint(path)
