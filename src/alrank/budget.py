@@ -20,13 +20,11 @@ class CostConfig:
     selection_hours_per_iteration: float = 0.05
 
     def __post_init__(self):
-        for name in (
-            "assessments_per_hour",
-            "annotator_cost_per_hour",
-            "gpu_cost_per_hour",
-            "cpu_cost_per_hour",
-        ):
-            if getattr(self, name) <= 0:
+        for name, value in vars(self).items():
+            # a nan or infinite rate gives nan or infinite costs without an error
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0 and name != "selection_hours_per_iteration":
                 raise ValueError(f"{name} must be > 0")
         if self.selection_hours_per_iteration < 0:
             raise ValueError("selection_hours_per_iteration must be >= 0")

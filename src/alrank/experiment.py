@@ -49,6 +49,7 @@ import sys
 import tempfile
 from collections import deque
 from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -100,6 +101,8 @@ class ExperimentConfig:
             raise ValueError("retrain scenario requires initial_checkpoint")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if not 0 <= self.training_hours_per_sample_epoch < float("inf"):
+            raise ValueError("training_hours_per_sample_epoch must be finite and >= 0")
         if self.negatives_depth < self.selection.candidate_depth:
             # make_bundle would cut the training candidates to negatives_depth
             # while the test candidates keep candidate_depth
@@ -146,6 +149,21 @@ class DataBundle:
         if ranker is None:
             ranker = self._rankers[config] = Ranker(config, self.corpus, self.index)
         return ranker
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of the corpus, query splits and qrels, made once per bundle. Ids
+        hold no whitespace, so a space or newline ends each; texts are split by length."""
+        h = hashlib.sha256()
+        for collection in (self.corpus, self.train_queries, self.test_queries):
+            ids = collection.ids()
+            texts = collection.texts(ids)
+            h.update((" ".join(ids) + "\n").encode())
+            h.update(np.array(list(map(len, texts)), dtype="<i8").tobytes())
+            h.update("".join(texts).encode())
+        grades = sorted(f"{qid} {did} {grade}" for (qid, did), grade in self.qrels.items())
+        h.update("\n".join([str(self.qrels.threshold), *grades]).encode())
+        return h.hexdigest()[:16]
 
 
 def make_bundle(
@@ -304,17 +322,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     )
 
 
-def load_run(run_dir: str | Path) -> tuple[ExperimentConfig, str | None, list[IterationState]]:
+def load_run(run_dir: str | Path) -> tuple[ExperimentConfig, dict, list[IterationState]]:
     """A run directory read back: the ExperimentConfig config.json was written
-    from (read by `config_from_dict`, with the parts' keys flattened), the
-    fingerprint stored with it, and the persisted iterations in order."""
+    from (read by `config_from_dict`, with the parts' keys flattened), the stamp
+    stored with it (its "fingerprint" and "data_digest", None if absent), and
+    the persisted iterations in order."""
     cfg_path = Path(run_dir) / "config.json"
     if not cfg_path.exists():
         raise ValueError(f"no persisted experiment in {run_dir}")
     data = json.loads(cfg_path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError(f"{cfg_path}: expected a JSON object")
-    flat = {k: v for k, v in data.items() if k not in _PARTS and k != "fingerprint"}
+    stamp = {key: data.pop(key, None) for key in ("fingerprint", "data_digest")}
+    flat = {k: v for k, v in data.items() if k not in _PARTS}
     for part in _PARTS:
         if not isinstance(data.get(part, {}), dict):
             raise ValueError(f"{cfg_path}: {part!r} is not a JSON object")
@@ -323,7 +343,7 @@ def load_run(run_dir: str | Path) -> tuple[ExperimentConfig, str | None, list[It
         IterationState.from_json(json.loads(path.read_text(encoding="utf-8")))
         for path in sorted(Path(run_dir).glob("iter_*.json"))
     ]
-    return config_from_dict(flat), data.get("fingerprint"), states
+    return config_from_dict(flat), stamp, states
 
 
 # the data files a "files" provenance names
@@ -580,6 +600,7 @@ class Experiment:
             _write_text(self.out_dir / "data.json", json.dumps(provenance, sort_keys=True))
         payload = asdict(self.config)
         payload["fingerprint"] = self.config.fingerprint()
+        payload["data_digest"] = self.bundle.digest
         _write_text(
             self.out_dir / "config.json", json.dumps(payload, sort_keys=True, indent=2, default=str)
         )
@@ -613,16 +634,18 @@ class Experiment:
         """Continue a persisted run; no-op when already complete."""
         if self.out_dir is None:
             raise ValueError("resume requires an output directory")
-        _, fingerprint, states = load_run(self.out_dir)
-        return self._continue(fingerprint, states)
+        _, stamp, states = load_run(self.out_dir)
+        return self._continue(stamp, states)
 
-    def _continue(self, fingerprint: str | None, states: list[IterationState]) -> list[IterationState]:
-        """Continue from `load_run`'s fingerprint and states of the run directory."""
-        if fingerprint != self.config.fingerprint():
-            raise ValueError(
-                "config fingerprint mismatch: persisted "
-                f"{fingerprint} vs current {self.config.fingerprint()}"
-            )
+    def _continue(self, stamp: dict, states: list[IterationState]) -> list[IterationState]:
+        """Continue from `load_run`'s stamp and states of the run directory; one
+        without a data digest (written before config.json held one) takes any bundle."""
+        if stamp["fingerprint"] != self.config.fingerprint():
+            raise ValueError(f"config fingerprint mismatch: persisted {stamp['fingerprint']} "
+                             f"vs current {self.config.fingerprint()}")
+        if stamp["data_digest"] not in (None, self.bundle.digest):
+            raise ValueError(f"data digest mismatch: the run in {self.out_dir} was made on "
+                             f"data {stamp['data_digest']}, this bundle is {self.bundle.digest}")
         if not states:
             return self._run_from([], sorted(self.bundle.train_queries.ids()), None)
         last = states[-1]
@@ -969,9 +992,9 @@ def resume_al(run_dir: str | Path) -> list[IterationState]:
     """Continue the run in `run_dir` and rewrite its outputs; config.json,
     data.json and each iter_*.json are read once."""
     run_dir = Path(run_dir)
-    config, fingerprint, states = load_run(run_dir)
+    config, stamp, states = load_run(run_dir)
     bundle = bundle_from_provenance(_read_provenance(run_dir), config)
-    states = Experiment(config, bundle, run_dir)._continue(fingerprint, states)
+    states = Experiment(config, bundle, run_dir)._continue(stamp, states)
     write_run_outputs(config, states, run_dir)
     return states
 

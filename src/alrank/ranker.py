@@ -54,19 +54,18 @@ call per document with the shape and layout of the one-document
 (OpenBLAS's result depends on the product's shape and a column's position;
 for n < 16 its `ddot` accumulates by fused multiply-add).
 
-Training computes one gradient per mini-batch (`_batch_gradient`): per
-triplet only the score operations and the scalar `ranknet_gradient` run, and
-the batch's gradient terms are assembled at once. Each term is keyed by
-(triplet, row), each key's terms are summed in term order, which gives the
-triplet's own gradient at that row, and those sums go into the batch gradient
-in triplet order (`_ordered_add`). Maxsim sorts its keys once (stably) and
-builds its wide term rows only as it adds them; a key's sum starts from its
-first term, not 0.0, which differs only as -0.0 for 0.0 and adds the same
-into the batch gradient, whose entries are never -0.0. So each touched row
-receives the same float additions in the same order as a dense per-triplet
-gradient summed into a dense batch gradient, and the SGD update rewrites
-only the touched rows (an untouched one would only see `+ 0.0` and `- 0.0`):
-the trained weights are bit-identical to the dense algorithm's.
+Training computes one gradient per mini-batch (`_batch_gradient`) in one
+pass: per triplet only the score operations and the scalar `ranknet_gradient`
+run. The batch's gradient terms, keyed by (triplet, row), are summed per key
+in term order (the triplet's own gradient at that row), and those sums per row
+in triplet order (`_ordered_sums`); maxsim builds its wide term rows only as it
+adds them. A row sum starts from its first term, not 0.0, which can differ
+only as -0.0 for 0.0; a dense gradient, summed from 0.0, is never -0.0, so the
+batch gradient ends with `+ 0.0`. So each touched row receives the float
+additions of dense per-triplet gradients summed into a dense batch gradient,
+in their order, and the SGD update rewrites only the touched rows (an
+untouched one would only see `+ 0.0` and `- 0.0`): the trained weights are
+bit-identical to the dense algorithm's.
 
 Cross-scorer feature map (hashed into `dim` signed buckets):
   - per distinct query term t with count c: key ``q|t``, value c / |q|
@@ -94,9 +93,8 @@ from .lexical import InvertedIndex, tokenize
 ARCHITECTURES = ("cross", "bi", "maxsim")
 CHECKPOINT_MAGIC = b"ALRK"
 CHECKPOINT_VERSION = 1
-# floats of each (terms, width) temporary of one group of triplets in a
-# training step, or of docs in max-sim scoring: 512 KB stays in cache; a
-# cross batch fits in one group
+# floats of the (docs, tokens, width) temporary of one chunk of max-sim
+# scoring: 512 KB stays in cache
 _GROUP_FLOATS = 2**16
 
 
@@ -119,8 +117,11 @@ class RankerConfig:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        # an infinite step or sigma trains every touched weight to inf or nan
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs_selection < 1:
@@ -193,32 +194,36 @@ class _Triplet(NamedTuple):
     size: int  # the number of rows of its gradient terms (see `_batch_gradient`)
 
 
-def _occurrences(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For sorted keys: whether each is its key's first, and its occurrence
-    rank among its key's entries (0 for the first)."""
+def _ordered_sums(keys: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and per key the sum of its terms in input
+    order, one rounded addition per term.
+
+    `terms` is a 1-D array of values, summed from 0.0 by `np.bincount`, which
+    adds in input order (over the key range when it is small against the term
+    count, as a batch's weight rows are, else in the keys' stable sort), or
+    rows: a 2-D array, or a function of term positions that builds their rows
+    only when they are added. Rows are summed by one fancy-index `+=` per
+    occurrence rank (`np.add.at` is slow on wide rows), from each key's first
+    row: a row sum may be -0.0 where one from 0.0 is 0.0, and is otherwise equal."""
+    values = isinstance(terms, np.ndarray) and terms.ndim == 1
+    if values and keys.max() < 16 * keys.size:
+        distinct = np.flatnonzero(np.bincount(keys))
+        return distinct, np.bincount(keys, terms)[distinct]
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
     first = np.ones(ranked.size, dtype=bool)
     first[1:] = ranked[1:] != ranked[:-1]
+    slot = np.cumsum(first) - 1  # each sorted term's key
+    if values:
+        return ranked[first], np.bincount(slot, terms[order])
+    rows = terms.__getitem__ if isinstance(terms, np.ndarray) else terms
     position = np.arange(ranked.size)
-    return first, position - np.maximum.accumulate(np.where(first, position, 0))
-
-
-def _ordered_add(target: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
-    """`np.add.at(target, index, values)`, bit for bit: the values of each
-    index are added to its row one at a time, in order.
-
-    2-D `np.add.at` is slow on wide rows, so a 2-D target takes one fancy-index
-    `+=` per occurrence rank instead: every index's first value, then every
-    repeated index's second, and so on. Within one rank the indices are
-    distinct, so each element still gets one rounded addition per value."""
-    if target.ndim == 1 or index.size == 0:
-        np.add.at(target, index, values)
-        return
-    order = np.argsort(index, kind="stable")
-    ranked = index[order]
-    _, rank = _occurrences(ranked)
-    for r in range(rank.max() + 1):
+    rank = position - np.maximum.accumulate(np.where(first, position, 0))  # among its key's terms
+    sums = rows(order[first])
+    for r in range(1, rank.max() + 1):
         at = rank == r
-        target[ranked[at]] += values[order[at]]
+        sums[slot[at]] += rows(order[at])
+    return ranked[first], sums
 
 
 def _signature(q_tokens: tuple[str, ...], d_tokens: tuple[str, ...]) -> tuple[int, ...]:
@@ -451,7 +456,8 @@ class Ranker:
         self._check_state(state)
         grad = np.zeros_like(state)
         triplet = self._prepare_triplet(query_text, pos_text, neg_text)
-        [(s_pos, s_neg)], _ = self._batch_gradient(state, [triplet], grad)
+        [(s_pos, s_neg)], rows, grads = self._batch_gradient(state, [triplet])
+        grad[rows] = grads
         return ranknet_loss(s_pos, s_neg, self.config.sigma), grad
 
     def _prepare_triplet(self, query_text: str, pos_text: str, neg_text: str) -> _Triplet:
@@ -486,92 +492,78 @@ class Ranker:
         return cached
 
     def _batch_gradient(
-        self, weights: np.ndarray, batch: list[_Triplet], grads: np.ndarray
-    ) -> tuple[list[list[float]], list[np.ndarray]]:
-        """Add the RankNet gradient of each prepared triplet of a mini-batch
-        into `grads`, as if triplet by triplet.
+        self, weights: np.ndarray, batch: list[_Triplet]
+    ) -> tuple[list[list[float]], np.ndarray, np.ndarray]:
+        """The RankNet gradient of a mini-batch of prepared triplets (the sum of
+        their per-triplet gradients) on the rows it touches.
 
         Per triplet, only the score operations (those of `score_batch`) and
         `ranknet_gradient` run. The gradient terms are rows of values, per doc
         in this order: cross `g * vals` at its feature rows; bi `g * vd / |q|`
         at the query's rows, then `g * vq / |d|` at the doc's; maxsim
         `g * w[argmax rows]` at the query's rows, then `g * w[query rows]` at
-        the argmax rows. They are summed per (triplet, row) in term order, and
-        the sums go into `grads` in triplet order. The weights are fixed within
-        a batch, so this runs per group of consecutive triplets, whose (terms,
-        width) temporaries stay under `_GROUP_FLOATS`, with no change to the sums.
+        the argmax rows. They are summed per (triplet, row), then per row, in
+        the order and with the `+ 0.0` the module docstring gives (`_ordered_sums`).
 
-        Returns each triplet's [positive, negative] score and, per group, the
-        rows of `grads` it added to (with repeats).
+        Returns each triplet's [positive, negative] score, the distinct rows
+        the batch touches, ascending, and the batch gradient at those rows.
         """
         arch = self.config.architecture
         n_rows = weights.shape[0]
+        take = weights.take
         per_doc = 1 if arch == "cross" else 2  # gradient sources per scoring doc
-        width = weights[0].size
-        per_group = max(1, _GROUP_FLOATS // (width * max(max(t.size for t in batch), 1)))
-        scores, touched = [], []
-        for a in range(0, len(batch), per_group):
-            group = batch[a : a + per_group]
-            # per gradient source, in term order: its factor g, its rows, and
-            # its values (cross), vector (bi) or source rows (maxsim)
-            factors, rows, sources = [], [], []
-            for t in group:
-                s = [0.0, 0.0]
-                if arch == "cross":
-                    for k, (idx, vals) in t.docs:
-                        s[k] = float(weights[idx].dot(vals))
-                        rows.append(idx)
-                        sources.append(vals)
-                elif t.docs:
-                    qb = t.query_buckets
-                    eq = weights[qb]
-                    vq = eq.mean(axis=0) if arch == "bi" else None
-                    for k, db in t.docs:
-                        if arch == "bi":
-                            vd = weights[db].mean(axis=0)
-                            s[k] = float(vq.dot(vd))
-                            rows += [qb, db]
-                            sources += [vd, vq]
-                        else:
-                            sims = eq @ weights[db].T
-                            best = db[sims.argmax(axis=1)]
-                            s[k] = float(sims.max(axis=1).sum())
-                            rows += [qb, best]
-                            sources += [best, qb]
-                g = ranknet_gradient(s[0], s[1], self.config.sigma)
-                for k, _ in t.docs:
-                    factors += [g[k]] * per_doc
-                scores.append(s)
-            if not factors:
-                continue
-            counts = [r.size for r in rows]
-            position = np.repeat(np.arange(len(group)), [t.size for t in group])
-            keys = position * n_rows + np.concatenate(rows)
-            if arch == "maxsim":
-                # keys sorted once; each rank's weight rows built as added
-                order = np.argsort(keys, kind="stable")
-                keys = keys[order]
-                first, rank = _occurrences(keys)
-                slot = np.cumsum(first) - 1  # each sorted term's key
-                keys = keys[first]
-                factor = np.repeat(factors, counts)[order]
-                source = np.concatenate(sources)[order]
-                sums = factor[first, None] * weights[source[first]]
-                for r in range(1, rank.max() + 1):
-                    at = rank == r
-                    sums[slot[at]] += factor[at, None] * weights[source[at]]
-            else:
-                if arch == "cross":
-                    values = np.repeat(factors, counts) * np.concatenate(sources)
-                else:
-                    n = np.array(counts)
-                    values = np.repeat(np.array(factors)[:, None] * np.array(sources) / n[:, None], n, axis=0)
-                keys, inverse = np.unique(keys, return_inverse=True)
-                sums = np.zeros((keys.size,) + weights.shape[1:])
-                _ordered_add(sums, inverse, values)
-            touched.append(keys % n_rows)
-            _ordered_add(grads, touched[-1], sums)
-        return scores, touched
+        # per gradient source, in term order: its factor g, its rows, and its
+        # values (cross), vector (bi) or source rows (maxsim)
+        scores, factors, rows, sources = [], [], [], []
+        for t in batch:
+            s = [0.0, 0.0]
+            if arch == "cross":
+                for k, (idx, vals) in t.docs:
+                    s[k] = float(weights[idx].dot(vals))
+                    rows.append(idx)
+                    sources.append(vals)
+            elif t.docs:
+                qb = t.query_buckets
+                eq = take(qb, axis=0)
+                vq = eq.mean(axis=0) if arch == "bi" else None
+                for k, db in t.docs:
+                    if arch == "bi":
+                        vd = take(db, axis=0).mean(axis=0)
+                        s[k] = float(vq.dot(vd))
+                        rows += [qb, db]
+                        sources += [vd, vq]
+                    else:
+                        sims = eq @ take(db, axis=0).T
+                        arg = sims.argmax(axis=1)
+                        s[k] = float(sims[np.arange(arg.size), arg].sum())
+                        best = db[arg]
+                        rows += [qb, best]
+                        sources += [best, qb]
+            g = ranknet_gradient(s[0], s[1], self.config.sigma)
+            for k, _ in t.docs:
+                factors += [g[k]] * per_doc
+            scores.append(s)
+        if not factors:
+            return scores, np.zeros(0, dtype=np.int64), np.zeros((0,) + weights.shape[1:])
+        counts = [r.size for r in rows]
+        position = np.repeat(np.arange(len(batch)), [t.size for t in batch])
+        keys = position * n_rows + np.concatenate(rows)
+        if arch == "cross":
+            terms = np.repeat(factors, counts) * np.concatenate(sources)
+        elif arch == "bi":
+            n = np.array(counts)
+            terms = np.repeat(np.array(factors)[:, None] * np.array(sources) / n[:, None], n, axis=0)
+        else:
+            factor = np.repeat(factors, counts)
+            source = np.concatenate(sources)
+
+            def terms(at: np.ndarray) -> np.ndarray:
+                return factor[at, None] * take(source[at], axis=0)
+
+        keys, sums = _ordered_sums(keys, terms)
+        touched, grads = _ordered_sums(keys % n_rows, sums)
+        grads += 0.0
+        return scores, touched, grads
 
     def train(
         self,
@@ -584,12 +576,10 @@ class Ranker:
     ) -> RankerState:
         """SGD over shuffled mini-batches; pure in `state`, deterministic in seed.
 
-        Each mini-batch's gradient is assembled once (`_batch_gradient`) over
-        only the rows its triplets touch, and the update changes only those
-        rows. The result is bit-identical to summing dense per-triplet
-        gradients into a dense batch gradient and updating every row (see the
-        module docstring). Each triplet is prepared once per ranker
-        (`_prepare_triplet`), not once per call or epoch.
+        Each update changes only the rows its batch touches, by the batch
+        gradient `_batch_gradient` assembles there, bit for bit the dense
+        algorithm's (see the module docstring). Each triplet is prepared once
+        per ranker (`_prepare_triplet`), not once per call or epoch.
         """
         if not triplets:
             raise ValueError("cannot train on an empty triplet list")
@@ -604,8 +594,6 @@ class Ranker:
         self._check_state(state)
 
         weights = state.copy()
-        batch_grads = np.zeros_like(weights)
-        in_batch = np.zeros(len(weights), dtype=bool)  # the rows a batch touched
         prepared = [
             self._prepare_triplet(queries[t.query_id], corpus[t.positive_id], corpus[t.negative_id])
             for t in triplets
@@ -617,12 +605,8 @@ class Ranker:
             rng.shuffle(order)
             for start in range(0, len(order), cfg.batch_size):
                 batch = [prepared[i] for i in order[start : start + cfg.batch_size].tolist()]
-                for rows in self._batch_gradient(weights, batch, batch_grads)[1]:
-                    in_batch[rows] = True
-                rows = np.flatnonzero(in_batch)
-                weights[rows] -= cfg.learning_rate * batch_grads[rows] / len(batch)
-                batch_grads[rows] = 0.0
-                in_batch[rows] = False
+                _, rows, grads = self._batch_gradient(weights, batch)
+                weights[rows] -= cfg.learning_rate * grads / len(batch)
         return weights
 
     def _check_state(self, state: RankerState) -> None:

@@ -32,13 +32,14 @@ class SyntheticSpec:
     doc_noise_tokens: int = 12
 
     def __post_init__(self):
-        # a query draws up to 4 distinct topic tokens
-        if self.topic_vocab_size < 4:
-            raise ValueError(f"topic_vocab_size must be >= 4, got {self.topic_vocab_size}")
-        if self.noise_vocab_size < 1:
-            raise ValueError(f"noise_vocab_size must be >= 1, got {self.noise_vocab_size}")
-        if self.rel_per_query < 1:
-            raise ValueError("rel_per_query must be >= 1")
+        # a lower count gives an empty or shrunken bundle or fails inside
+        # numpy; a query draws up to 4 distinct topic tokens
+        for name, least in (("topics", 1), ("docs_per_topic", 1), ("noise_vocab_size", 1),
+                            ("topic_vocab_size", 4), ("queries_per_topic", 0),
+                            ("test_queries_per_topic", 0), ("rel_per_query", 1),
+                            ("doc_noise_tokens", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.rel_per_query > self.docs_per_topic:
             raise ValueError(
                 f"rel_per_query ({self.rel_per_query}) exceeds docs_per_topic "

@@ -146,6 +146,21 @@ class TestMakeSynthetic:
         assert datamodel.parse_qrels(synthetic_dir / "qrels.txt") == qrels
 
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--topics", "0", "topics must be >= 1, got 0"),
+        ("--docs-per-topic", "0", "docs_per_topic must be >= 1, got 0"),
+        ("--queries-per-topic", "-2", "queries_per_topic must be >= 0, got -2"),
+        ("--test-queries-per-topic", "-1", "test_queries_per_topic must be >= 0, got -1"),
+    ])
+    def test_count_that_changes_the_bundle_is_one_error_line(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        code, out, err = run_cli(
+            capsys, "make-synthetic", "--out", str(tmp_path / "d"), flag, value
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "d").exists()
+
 class TestIndexAndRetrieve:
     def test_round_trip(self, synthetic_dir, tmp_path, capsys):
         index_path = tmp_path / "index.json"
@@ -291,6 +306,24 @@ class TestSetOverrides:
         assert code == 1 and err.startswith(f"error: --set {key}=")
         assert not (tmp_path / "x").exists()
 
+
+    @pytest.mark.parametrize("override", [
+        "learning_rate=inf", "learning_rate=nan", "learning_rate=-1", "sigma=-1", "sigma=0",
+        "sigma=inf", "assessments_per_hour=nan", "annotator_cost_per_hour=inf",
+        "gpu_cost_per_hour=inf", "cpu_cost_per_hour=-inf", "selection_hours_per_iteration=nan",
+        "training_hours_per_sample_epoch=inf", "training_hours_per_sample_epoch=-1",
+    ])
+    def test_rate_that_cannot_train_or_cost_is_one_error_line(self, tmp_path, capsys, override):
+        # learning_rate=inf ran to the end with nan weights; nan and inf cost
+        # rates gave nan and inf costs
+        code, out, err = run_cli(
+            capsys, "run-al", "--synthetic", "--profile", "desk", "--out", str(tmp_path / "x"),
+            "--set", override,
+        )
+        key = override.split("=")[0]
+        assert code == 1 and not out
+        assert err.count("\n") == 1 and err.startswith(f"error: {key} must be ")
+        assert not (tmp_path / "x").exists()
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -552,10 +585,11 @@ class TestRunDirectory:
             exhausted_back_to_pool=True,
         )
         states = Experiment(config, tiny_bundle, tmp_path).run()
-        loaded, fingerprint, loaded_states = load_run(tmp_path)
+        loaded, stamp, loaded_states = load_run(tmp_path)
         assert loaded == config
         assert isinstance(loaded.schedule, tuple)
-        assert fingerprint == config.fingerprint() == loaded.fingerprint()
+        assert stamp == {"fingerprint": config.fingerprint(), "data_digest": tiny_bundle.digest}
+        assert loaded.fingerprint() == config.fingerprint()
         assert [s.to_json() for s in loaded_states] == [s.to_json() for s in states]
 
 

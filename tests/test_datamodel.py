@@ -263,6 +263,20 @@ class TestSynthetic:
             SyntheticSpec(**{**kwargs, field: value})
         SyntheticSpec(**kwargs)
 
+    @pytest.mark.parametrize("field, value, least", [
+        ("topics", 0, 1), ("docs_per_topic", 0, 1), ("queries_per_topic", -2, 0),
+        ("test_queries_per_topic", -1, 0), ("doc_noise_tokens", -5, 0), ("doc_noise_tokens", -1, 0),
+    ])
+    def test_count_that_changes_the_bundle_rejected(self, field, value, least):
+        # topics=0 gave an empty bundle, queries_per_topic=-2 0 train queries
+        # and more test queries, and a negative doc_noise_tokens failed inside numpy
+        with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
+            SyntheticSpec(**{field: value})
+        spec = SyntheticSpec(topics=1, docs_per_topic=3, queries_per_topic=0,
+                             test_queries_per_topic=1, doc_noise_tokens=0, rel_per_query=1)
+        corpus, train_q, test_q, qrels = generate_synthetic(spec, 0)
+        assert len(corpus) == 3 and len(train_q) == 0 and len(test_q) == 1
+
     # sha256 of the generator's full output, recorded when it still drew from
     # Python lists: the random stream must not change
     PINNED = [

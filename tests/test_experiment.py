@@ -171,6 +171,24 @@ class TestRunLoop:
             assert row["C_A"] == pytest.approx(row["assessments"] / 75 * 50, abs=1e-9)
 
 
+    def test_bi_run_files_pinned(self, tiny_bundle, tmp_path):
+        # sha256 of each iteration file of a 2-iteration bi run, recorded when
+        # training still added each group of triplets into a dense batch
+        # gradient: the checkpoints hold the trained selection states, and the
+        # JSON the uncertainty picks made with them and the nDCG
+        ranker = replace(TINY_RANKER, architecture="bi", batch_size=4)
+        Experiment(tiny_config("uncertainty", ranker=ranker), tiny_bundle, tmp_path).run()
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.glob("iter_*"))
+        }
+        assert digests == {
+            "iter_0001.ckpt": "478efeecfa0bac6cba8d2daa7edf9fda616f04b5655f1849efc35fc04ba0548a",
+            "iter_0001.json": "9874472b197f4632d5ae7ed04946bfbdd438ef95d8392a2d0ac3106b6460f8d3",
+            "iter_0002.ckpt": "07f526fa975eb533ebd38712b8bacb65be64ff095de08d0b8562b2dab468c162",
+            "iter_0002.json": "3d4ed949bd416dac2930456bb0d90d02cac3df20f12fda3f61e4927a025a9483",
+        }
+
 @pytest.fixture(scope="module")
 def hitless_bundle(tiny_data):
     """tiny_bundle plus train queries whose terms occur in no document."""
@@ -519,6 +537,42 @@ class TestResume:
         Experiment(tiny_config(), tiny_bundle, tmp_path).run()
         with pytest.raises(ValueError, match="fingerprint mismatch"):
             Experiment(tiny_config(master_seed=5), tiny_bundle, tmp_path).resume()
+
+    def test_resume_rejects_other_data(self, tiny_data, tiny_bundle, tmp_path):
+        # an uncertainty run cut after iteration 1, resumed in-process on a
+        # bundle of other data, mixed the two data sets without an error
+        config = tiny_config(
+            "uncertainty",
+            selection=SelectionConfig(strategy="uncertainty", samples_per_iteration=5,
+                                      candidate_depth=20),
+        )
+        Experiment(config, tiny_bundle, tmp_path).run()
+        for name in ("iter_0002.json", "iter_0002.ckpt"):
+            (tmp_path / name).unlink()
+        corpus, train_q, test_q, qrels = tiny_data
+        other = make_bundle(corpus, train_q, test_q, Qrels(dict(list(qrels.items())[1:])))
+        assert other.digest != tiny_bundle.digest
+        with pytest.raises(ValueError, match="data digest mismatch"):
+            Experiment(config, other, tmp_path).resume()
+        left = sorted(p.name for p in tmp_path.glob("iter_*"))
+        assert left == ["iter_0001.ckpt", "iter_0001.json"]
+        assert len(Experiment(config, tiny_bundle, tmp_path).resume()) == 2
+
+    def test_directory_without_data_digest_resumes(self, tiny_bundle, tmp_path):
+        config = tiny_config()
+        full = Experiment(config, tiny_bundle, tmp_path / "full").run()
+        Experiment(config, tiny_bundle, tmp_path).run()
+        (tmp_path / "iter_0002.json").unlink()
+        persisted = json.loads((tmp_path / "config.json").read_text())
+        assert persisted.pop("data_digest") == tiny_bundle.digest
+        (tmp_path / "config.json").write_text(json.dumps(persisted))
+        resumed = Experiment(config, tiny_bundle, tmp_path).resume()
+        assert [s.to_json() for s in resumed] == [s.to_json() for s in full]
+
+    def test_bundle_digest_is_made_once(self, tiny_data):
+        bundle = make_bundle(*tiny_data)
+        digest = bundle.digest
+        assert bundle.digest is digest and vars(bundle)["digest"] is digest
 
     def test_resume_without_artifacts(self, tiny_bundle, tmp_path):
         with pytest.raises(ValueError, match="no persisted experiment"):

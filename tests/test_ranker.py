@@ -550,6 +550,31 @@ class TestSparseTrainingExactness:
         assert _same_bytes(got, _oracle_train(fresh, state, *args))
 
     @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    def test_negative_zero_weights_and_saturated_scores_equal_dense_oracle(self, arch):
+        # sigma 1e4 saturates RankNet: a positive doc scored well above its
+        # negative gets g = -0.0, so gradient terms are +-0.0 and a bi or
+        # maxsim row sum can be -0.0 where the dense gradient's is 0.0; half
+        # the weights are -0.0, which an update by -0.0 would turn into 0.0
+        ranker = small_ranker(arch, dim=6, buckets=8, batch_size=3, learning_rate=0.3, sigma=1e4)
+        state = ranker.init_state(3)
+        state[np.random.default_rng(3).random(state.shape) < 0.5] = -0.0
+        saturated = 0
+        for t in self.TRIPLETS:
+            texts = (
+                self.QUERIES[t.query_id], self.CORPUS[t.positive_id], self.CORPUS[t.negative_id]
+            )
+            g_pos, _ = ranknet_gradient(
+                ranker.score(state, *texts[:2]), ranker.score(state, texts[0], texts[2]), 1e4
+            )
+            saturated += math.copysign(1.0, g_pos) == -1.0 and g_pos == 0.0
+            _, grad = ranker.loss_and_gradient(state, *texts)
+            _, want = _oracle_loss_and_gradient(ranker, state, *texts)
+            assert _same_bytes(grad, want), t
+        assert saturated
+        args = (self.TRIPLETS, self.CORPUS, self.QUERIES, 2, 7)
+        assert _same_bytes(ranker.train(state, *args), _oracle_train(ranker, state, *args))
+
+    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
     def test_realistic_width_equals_dense_oracle_bytes(self, arch):
         triplets, corpus, queries = _realistic_training_data(seed=3)
         ranker = small_ranker(arch, dim=64, buckets=16, batch_size=32, learning_rate=0.3)
@@ -572,39 +597,46 @@ _floats = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(
 
 
 @given(
-    n_rows=st.integers(1, 5),
+    n_keys=st.integers(1, 5),
     width=st.sampled_from([None, 1, 3]),
+    rows_as_function=st.booleans(),
+    spread=st.sampled_from([1, 1000]),
     data=st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_ordered_add_equals_add_at_bytes(n_rows, width, data):
-    """The training step's ordered add equals `np.add.at` byte for byte, on
-    1-D and 2-D targets, with repeated indices and signed zeros."""
-    shape = (n_rows,) if width is None else (n_rows, width)
-    size = int(np.prod(shape))
-    target = np.array(data.draw(st.lists(_floats, min_size=size, max_size=size))).reshape(shape)
-    index = np.array(
-        data.draw(st.lists(st.integers(0, n_rows - 1), max_size=12)), dtype=np.int64
+def test_ordered_sums_equal_sequential_loop_bytes(n_keys, width, rows_as_function, spread, data):
+    """The training step's per-key sums equal adding each key's terms one at
+    a time in input order (values from 0.0, rows from the key's first row),
+    byte for byte, with repeated keys and signed zeros; rows given as an
+    array or as a function of the terms' positions; keys spread by 1000 take
+    the sorted path for values, the others the dense count."""
+    keys = spread * np.array(
+        data.draw(st.lists(st.integers(0, n_keys - 1), min_size=1, max_size=12)), dtype=np.int64
     )
-    n_values = index.size * (1 if width is None else width)
-    values = np.array(
-        data.draw(st.lists(_floats, min_size=n_values, max_size=n_values)), dtype=float
-    ).reshape(index.shape + shape[1:])
-    got, want = target.copy(), target.copy()
-    ranker_module._ordered_add(got, index, values)
-    np.add.at(want, index, values)
-    assert _same_bytes(got, want)
+    shape = keys.shape + (() if width is None else (width,))
+    size = int(np.prod(shape))
+    terms = np.array(
+        data.draw(st.lists(_floats, min_size=size, max_size=size)), dtype=float
+    ).reshape(shape)
+    want: dict = {}
+    for key, term in zip(keys.tolist(), terms):
+        if key in want:
+            want[key] = want[key] + term
+        else:
+            want[key] = 0.0 + term if width is None else term.copy()
+    given_terms = terms.__getitem__ if width is not None and rows_as_function else terms
+    got_keys, got = ranker_module._ordered_sums(keys, given_terms)
+    assert got_keys.tolist() == sorted(want)
+    assert _same_bytes(got, np.array([want[k] for k in sorted(want)]))
 
 
-@pytest.mark.parametrize("group_floats", [1, 10_000])
+@pytest.mark.parametrize("batch_size", [7, 16, 25])
 @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
-def test_training_groups_equal_dense_oracle_bytes(arch, group_floats, monkeypatch):
-    """Assembling a batch's gradient in groups of one triplet, or (bi and
-    maxsim at 10k floats) in groups of five or more triplets but the last,
-    changes no bit of the trained weights."""
-    monkeypatch.setattr(ranker_module, "_GROUP_FLOATS", group_floats)
+def test_batches_not_dividing_the_triplets_equal_dense_oracle_bytes(arch, batch_size):
+    """60 triplets in batches of 7, 16 or 25: every epoch ends with a shorter
+    batch, whose gradient is divided by its own size."""
     triplets, corpus, queries = _realistic_training_data(seed=4, n_triplets=60)
-    ranker = small_ranker(arch, dim=64, buckets=16, batch_size=16, learning_rate=0.3)
+    ranker = small_ranker(arch, dim=64, buckets=16, batch_size=batch_size, learning_rate=0.3)
     state = ranker.init_state(6)
     args = (triplets, corpus, queries, 2, 1)
     trained = ranker.train(state, *args)
