@@ -22,12 +22,9 @@ class CostConfig:
     def __post_init__(self):
         for name, value in vars(self).items():
             # a nan or infinite rate gives nan or infinite costs without an error
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value <= 0 and name != "selection_hours_per_iteration":
-                raise ValueError(f"{name} must be > 0")
-        if self.selection_hours_per_iteration < 0:
-            raise ValueError("selection_hours_per_iteration must be >= 0")
+            bound = ">= 0" if name == "selection_hours_per_iteration" else "> 0"
+            if not 0 <= value < math.inf or (value == 0 and bound == "> 0"):
+                raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
 
 @dataclass(frozen=True)

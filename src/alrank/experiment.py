@@ -152,18 +152,10 @@ class DataBundle:
 
     @cached_property
     def digest(self) -> str:
-        """sha256 of the corpus, query splits and qrels, made once per bundle. Ids
-        hold no whitespace, so a space or newline ends each; texts are split by length."""
-        h = hashlib.sha256()
-        for collection in (self.corpus, self.train_queries, self.test_queries):
-            ids = collection.ids()
-            texts = collection.texts(ids)
-            h.update((" ".join(ids) + "\n").encode())
-            h.update(np.array(list(map(len, texts)), dtype="<i8").tobytes())
-            h.update("".join(texts).encode())
-        grades = sorted(f"{qid} {did} {grade}" for (qid, did), grade in self.qrels.items())
-        h.update("\n".join([str(self.qrels.threshold), *grades]).encode())
-        return h.hexdigest()[:16]
+        """sha256 of the corpus, query splits and qrels, made once per bundle."""
+        parts = [c.ids() + c.texts(c) for c in (self.corpus, self.train_queries, self.test_queries)]
+        parts.append(sorted(f"{qid} {did} {grade}" for (qid, did), grade in self.qrels.items()))
+        return hashlib.sha256(json.dumps([self.qrels.threshold, parts]).encode()).hexdigest()[:16]
 
 
 def make_bundle(

@@ -558,7 +558,9 @@ class Ranker:
             source = np.concatenate(sources)
 
             def terms(at: np.ndarray) -> np.ndarray:
-                return factor[at, None] * take(source[at], axis=0)
+                wide = take(source[at], axis=0)
+                wide *= factor[at, None]  # in place: no second wide temporary
+                return wide
 
         keys, sums = _ordered_sums(keys, terms)
         touched, grads = _ordered_sums(keys % n_rows, sums)
@@ -606,7 +608,9 @@ class Ranker:
             for start in range(0, len(order), cfg.batch_size):
                 batch = [prepared[i] for i in order[start : start + cfg.batch_size].tolist()]
                 _, rows, grads = self._batch_gradient(weights, batch)
-                weights[rows] -= cfg.learning_rate * grads / len(batch)
+                grads *= cfg.learning_rate  # lr * grads / len(batch), in place
+                grads /= len(batch)
+                weights[rows] -= grads
         return weights
 
     def _check_state(self, state: RankerState) -> None:

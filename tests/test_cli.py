@@ -306,7 +306,6 @@ class TestSetOverrides:
         assert code == 1 and err.startswith(f"error: --set {key}=")
         assert not (tmp_path / "x").exists()
 
-
     @pytest.mark.parametrize("override", [
         "learning_rate=inf", "learning_rate=nan", "learning_rate=-1", "sigma=-1", "sigma=0",
         "sigma=inf", "assessments_per_hour=nan", "annotator_cost_per_hour=inf",

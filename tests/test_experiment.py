@@ -170,7 +170,6 @@ class TestRunLoop:
             assert row["C_total"] == pytest.approx(row["C_A"] + row["C_C"], abs=1e-12)
             assert row["C_A"] == pytest.approx(row["assessments"] / 75 * 50, abs=1e-9)
 
-
     def test_bi_run_files_pinned(self, tiny_bundle, tmp_path):
         # sha256 of each iteration file of a 2-iteration bi run, recorded when
         # training still added each group of triplets into a dense batch
@@ -188,6 +187,7 @@ class TestRunLoop:
             "iter_0002.ckpt": "07f526fa975eb533ebd38712b8bacb65be64ff095de08d0b8562b2dab468c162",
             "iter_0002.json": "3d4ed949bd416dac2930456bb0d90d02cac3df20f12fda3f61e4927a025a9483",
         }
+
 
 @pytest.fixture(scope="module")
 def hitless_bundle(tiny_data):
