@@ -112,6 +112,9 @@ class ExperimentConfig:
                 f"schedule length {len(self.schedule)} does not match "
                 f"iterations {self.iterations}"
             )
+        for i, size in enumerate(self.schedule or (), 1):
+            if size < 1:
+                raise ValueError(f"schedule entry {i} is {size}; each entry must be >= 1")
 
     def batch_for(self, iteration: int) -> int:
         if self.schedule is not None:
@@ -318,11 +321,13 @@ def load_run(run_dir: str | Path) -> tuple[ExperimentConfig, dict, list[Iteratio
     """A run directory read back: the ExperimentConfig config.json was written
     from (read by `config_from_dict`, with the parts' keys flattened), the stamp
     stored with it (its "fingerprint" and "data_digest", None if absent), and
-    the persisted iterations in order."""
+    the persisted iterations in order. A file that holds no JSON, a config
+    that `config_from_dict` refuses or an iteration file that holds no
+    iteration state is a ValueError naming the file."""
     cfg_path = Path(run_dir) / "config.json"
     if not cfg_path.exists():
         raise ValueError(f"no persisted experiment in {run_dir}")
-    data = json.loads(cfg_path.read_text(encoding="utf-8"))
+    data = _read_json(cfg_path)
     if not isinstance(data, dict):
         raise ValueError(f"{cfg_path}: expected a JSON object")
     stamp = {key: data.pop(key, None) for key in ("fingerprint", "data_digest")}
@@ -331,11 +336,28 @@ def load_run(run_dir: str | Path) -> tuple[ExperimentConfig, dict, list[Iteratio
         if not isinstance(data.get(part, {}), dict):
             raise ValueError(f"{cfg_path}: {part!r} is not a JSON object")
         flat.update(data.get(part, {}))
-    states = [
-        IterationState.from_json(json.loads(path.read_text(encoding="utf-8")))
-        for path in sorted(Path(run_dir).glob("iter_*.json"))
-    ]
-    return config_from_dict(flat), stamp, states
+    try:
+        config = config_from_dict(flat)
+    except ValueError as exc:
+        raise ValueError(f"{cfg_path}: {exc}") from None
+    states = []
+    for path in sorted(Path(run_dir).glob("iter_*.json")):
+        saved = _read_json(path)
+        try:
+            states.append(IterationState.from_json(saved))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: not an iteration state ({type(exc).__name__}: {exc})"
+            ) from None
+    return config, stamp, states
+
+
+def _read_json(path: Path):
+    """The JSON value in a run file; ValueError naming the file if it holds none."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # the data files a "files" provenance names
@@ -346,7 +368,7 @@ def _read_provenance(run_dir: Path) -> dict:
     """data.json read back; ValueError naming it unless it holds kind
     "synthetic" with an int seed, or "files" with a path for each of DATA_FILES."""
     path = run_dir / "data.json"
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = _read_json(path)
     kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "synthetic":
         ok = type(data.get("seed")) is int  # a bool is no seed

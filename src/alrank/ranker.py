@@ -1,10 +1,10 @@
-"""Trainable rankers: feature-hashed cross-scorer, bi-encoder, and token max-sim.
+"""Trainable rankers: feature-hashed cross-scorer and token max-sim.
 
-All three share a RankNet pairwise loss and plain SGD. Feature/embedding
+Both share a RankNet pairwise loss and plain SGD. Feature/embedding
 hashing is keyed by a config seed so states are fully reproducible.
 
 A ranker state (`RankerState`) is one float64 weight array: cross's `w` of
-shape (dim,), bi's and maxsim's `emb` of shape (hash_buckets, dim). A
+shape (dim,), maxsim's `emb` of shape (hash_buckets, dim). A
 checkpoint stores it after a header with the architecture and the shape, so
 loading under a config refuses a state of another architecture or shape.
 
@@ -14,7 +14,7 @@ The `Ranker` an `Experiment` uses lives as long as its data bundle
 on that bundle in one process reuses these caches:
   - per text it tokenizes, `tokenize` runs once. Cross keeps the tokens, one
     interned string per distinct term, so texts sharing a word share its
-    object; bi and maxsim keep only the text's token-bucket array.
+    object; maxsim keeps only the text's token-bucket array.
   - per term (cross), the ``q|t`` and ``m|t`` keys are hashed once to their
     (bucket, sign).
   - per (query, signature) (cross), the sparse feature vector. A doc's
@@ -41,14 +41,14 @@ features, scores and trained weights are bit-identical.
 
 Scoring has one path, `Ranker.score_batch`: one query against a list of
 documents. `score`, `rerank`, uncertainty and QBC selection and evaluation
-all go through it. Cross computes one `w[idx].dot(vals)` per
-distinct signature of the list's plan and gathers the documents' scores from
-those; bi scores each document with its own dot product. Maxsim scores each
-chunk of equal-length documents (`_GROUP_FLOATS // (n * dim)` of n tokens)
-with one `np.matmul(eq, D.transpose(0, 2, 1))`, in which numpy makes one BLAS
-call per document with the shape and layout of the one-document
-`eq @ emb[db].T`, so each score keeps its bits. A 1-D `a.dot(b)` is the same
-`ddot` call as `a @ b`, with less dispatch. One product per document stays: a
+all go through it. Cross computes one `w[idx].dot(vals)` per distinct
+signature of the list's plan and gathers the documents' scores from those.
+Maxsim scores each chunk of equal-length documents
+(`_GROUP_FLOATS // (n * dim)` of n tokens) with one
+`np.matmul(eq, D.transpose(0, 2, 1))`, in which numpy makes one BLAS call per
+document with the shape and layout of the one-document `eq @ emb[db].T`, so
+each score keeps its bits. A 1-D `a.dot(b)` is the same `ddot` call as
+`a @ b`, with less dispatch. One product per document stays: a
 `(|q|, buckets)` table gathered by column, one big matmul, a sum or
 `np.add.reduceat` over several would change the last bit of some scores
 (OpenBLAS's result depends on the product's shape and a column's position;
@@ -90,7 +90,7 @@ import numpy as np
 from .datamodel import Corpus, QuerySet, RankedList, TrainingTriplet
 from .lexical import InvertedIndex, tokenize
 
-ARCHITECTURES = ("cross", "bi", "maxsim")
+ARCHITECTURES = ("cross", "maxsim")
 CHECKPOINT_MAGIC = b"ALRK"
 CHECKPOINT_VERSION = 1
 # floats of the (docs, tokens, width) temporary of one chunk of max-sim
@@ -187,7 +187,7 @@ def ranknet_gradient(s_pos: float, s_neg: float, sigma: float = 1.0) -> tuple[fl
 class _Triplet(NamedTuple):
     """A triplet as `Ranker._prepare_triplet` leaves it for `_batch_gradient`."""
 
-    query_buckets: np.ndarray | None  # bi and maxsim
+    query_buckets: np.ndarray | None  # maxsim
     # (0 for the positive doc or 1 for the negative, its cross (idx, vals) or
     # its buckets), for the docs that score: both texts have tokens
     docs: tuple
@@ -255,7 +255,7 @@ class Ranker:
         self._feature_cache: dict[tuple[str, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
         self._plan_cache: dict[tuple[str, tuple[str, ...]], tuple[list, np.ndarray]] = {}
         # cross: text -> interned tokens and term -> hashed features;
-        # bi and maxsim: text -> token buckets
+        # maxsim: text -> token buckets
         self._token_cache: dict[str, tuple[str, ...]] = {}
         self._term_cache: dict[str, tuple[int, float, int, float]] = {}
         self._bucket_cache: dict[str, np.ndarray] = {}
@@ -377,8 +377,7 @@ class Ranker:
         """
         self._check_state(state)
         scores = np.zeros(len(doc_texts))
-        arch = self.config.architecture
-        if arch == "cross":
+        if self.config.architecture == "cross":
             if not self._tokens(query_text):
                 return scores
             features, doc_slots = self._cross_plan(query_text, doc_texts)
@@ -388,13 +387,6 @@ class Ranker:
         if qb.size == 0:
             return scores
         eq = state[qb]
-        if arch == "bi":
-            vq = eq.mean(axis=0)
-            for k, doc_text in enumerate(doc_texts):
-                db = self._buckets(doc_text)
-                if db.size:
-                    scores[k] = vq.dot(state[db].mean(axis=0))
-            return scores
         # maxsim: docs grouped by token count, each group scored in chunks of
         # one stacked matmul (token-less docs keep 0)
         groups: dict[int, list[int]] = {}
@@ -471,8 +463,7 @@ class Ranker:
         cached = self._triplet_cache.get(key)
         if cached is not None:
             return cached
-        arch = self.config.architecture
-        if arch == "cross":
+        if self.config.architecture == "cross":
             qb = None
             docs = tuple(
                 (k, self.cross_features(query_text, doc_text))
@@ -487,7 +478,7 @@ class Ranker:
                 for k, db in enumerate((self._buckets(pos_text), self._buckets(neg_text)))
                 if qb.size and db.size
             )
-            size = sum(qb.size + (qb.size if arch == "maxsim" else db.size) for _, db in docs)
+            size = 2 * qb.size * len(docs)
         cached = self._triplet_cache[key] = _Triplet(qb, docs, size)
         return cached
 
@@ -499,8 +490,7 @@ class Ranker:
 
         Per triplet, only the score operations (those of `score_batch`) and
         `ranknet_gradient` run. The gradient terms are rows of values, per doc
-        in this order: cross `g * vals` at its feature rows; bi `g * vd / |q|`
-        at the query's rows, then `g * vq / |d|` at the doc's; maxsim
+        in this order: cross `g * vals` at its feature rows; maxsim
         `g * w[argmax rows]` at the query's rows, then `g * w[query rows]` at
         the argmax rows. They are summed per (triplet, row), then per row, in
         the order and with the `+ 0.0` the module docstring gives (`_ordered_sums`).
@@ -513,7 +503,7 @@ class Ranker:
         take = weights.take
         per_doc = 1 if arch == "cross" else 2  # gradient sources per scoring doc
         # per gradient source, in term order: its factor g, its rows, and its
-        # values (cross), vector (bi) or source rows (maxsim)
+        # values (cross) or source rows (maxsim)
         scores, factors, rows, sources = [], [], [], []
         for t in batch:
             s = [0.0, 0.0]
@@ -525,20 +515,13 @@ class Ranker:
             elif t.docs:
                 qb = t.query_buckets
                 eq = take(qb, axis=0)
-                vq = eq.mean(axis=0) if arch == "bi" else None
                 for k, db in t.docs:
-                    if arch == "bi":
-                        vd = take(db, axis=0).mean(axis=0)
-                        s[k] = float(vq.dot(vd))
-                        rows += [qb, db]
-                        sources += [vd, vq]
-                    else:
-                        sims = eq @ take(db, axis=0).T
-                        arg = sims.argmax(axis=1)
-                        s[k] = float(sims[np.arange(arg.size), arg].sum())
-                        best = db[arg]
-                        rows += [qb, best]
-                        sources += [best, qb]
+                    sims = eq @ take(db, axis=0).T
+                    arg = sims.argmax(axis=1)
+                    s[k] = float(sims[np.arange(arg.size), arg].sum())
+                    best = db[arg]
+                    rows += [qb, best]
+                    sources += [best, qb]
             g = ranknet_gradient(s[0], s[1], self.config.sigma)
             for k, _ in t.docs:
                 factors += [g[k]] * per_doc
@@ -550,9 +533,6 @@ class Ranker:
         keys = position * n_rows + np.concatenate(rows)
         if arch == "cross":
             terms = np.repeat(factors, counts) * np.concatenate(sources)
-        elif arch == "bi":
-            n = np.array(counts)
-            terms = np.repeat(np.array(factors)[:, None] * np.array(sources) / n[:, None], n, axis=0)
         else:
             factor = np.repeat(factors, counts)
             source = np.concatenate(sources)
@@ -669,7 +649,7 @@ def load_checkpoint(path, config: RankerConfig | None = None) -> RankerState:
             f"truncated checkpoint {path}: {len(data)} bytes, the state needs {expected}"
         )
     # a state of another shape would be scored and trained with the config's
-    # hashing without an error; a bi state has a maxsim state's shape
+    # hashing without an error
     if config is not None and (architecture, shape) != (config.architecture, _state_shape(config)):
         raise ValueError(
             f"checkpoint {path} holds a state of architecture {architecture!r}, shape {shape}; "

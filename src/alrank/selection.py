@@ -165,6 +165,8 @@ def select_qbc(
     """
     if len(committee) < 2:
         raise ValueError("QBC requires a committee of at least 2")
+    if s < 1:
+        raise ValueError("s must be >= 1")
     if pair_depth is not None and pair_depth < 2:
         raise ValueError("pair depth must be >= 2")
     entropies: list[tuple[str, float]] = []

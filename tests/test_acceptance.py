@@ -28,7 +28,7 @@ from alrank.experiment import (
     run_variability,
 )
 from alrank.lexical import build_index, retrieve_topk, tokenize
-from alrank.ranker import Ranker, RankerConfig
+from alrank.ranker import ARCHITECTURES, Ranker, RankerConfig
 from alrank.selection import (
     SelectionConfig,
     select_diversity,
@@ -202,33 +202,33 @@ def test_criterion_2_oracle_equivalence():
 # -- 3. gradient checks ------------------------------------------------------
 
 
+@pytest.mark.parametrize("architecture", ARCHITECTURES)
 @criterion(3, "gradients match central finite differences (rel <= 1e-4, 100 instances each)")
-def test_criterion_3_gradient_checks():
+def test_criterion_3_gradient_checks(architecture):
     vocab = [f"w{i}" for i in range(12)]
     h = 1e-4
-    for architecture in ("cross", "bi", "maxsim"):
-        config = RankerConfig(architecture=architecture, dim=6, hash_buckets=24)
-        ranker = Ranker(config)
-        rng = np.random.default_rng(zlib.crc32(architecture.encode()))
-        for instance in range(100):
-            query = " ".join(rng.choice(vocab, size=rng.integers(1, 4)))
-            pos = " ".join(rng.choice(vocab, size=rng.integers(1, 5)))
-            neg = " ".join(rng.choice(vocab, size=rng.integers(1, 5)))
-            state = ranker.init_state(instance)
-            _, grads = ranker.loss_and_gradient(state, query, pos, neg)
-            flat = state.ravel()
-            gflat = grads.ravel()
-            probe = rng.choice(flat.size, size=min(8, flat.size), replace=False)
-            for j in probe:
-                orig = flat[j]
-                flat[j] = orig + h
-                up, _ = ranker.loss_and_gradient(state, query, pos, neg)
-                flat[j] = orig - h
-                down, _ = ranker.loss_and_gradient(state, query, pos, neg)
-                flat[j] = orig
-                fd = (up - down) / (2 * h)
-                denom = max(abs(fd), abs(gflat[j]), 1e-8)
-                assert abs(gflat[j] - fd) / denom <= 1e-4
+    config = RankerConfig(architecture=architecture, dim=6, hash_buckets=24)
+    ranker = Ranker(config)
+    rng = np.random.default_rng(zlib.crc32(architecture.encode()))
+    for instance in range(100):
+        query = " ".join(rng.choice(vocab, size=rng.integers(1, 4)))
+        pos = " ".join(rng.choice(vocab, size=rng.integers(1, 5)))
+        neg = " ".join(rng.choice(vocab, size=rng.integers(1, 5)))
+        state = ranker.init_state(instance)
+        _, grads = ranker.loss_and_gradient(state, query, pos, neg)
+        flat = state.ravel()
+        gflat = grads.ravel()
+        probe = rng.choice(flat.size, size=min(8, flat.size), replace=False)
+        for j in probe:
+            orig = flat[j]
+            flat[j] = orig + h
+            up, _ = ranker.loss_and_gradient(state, query, pos, neg)
+            flat[j] = orig - h
+            down, _ = ranker.loss_and_gradient(state, query, pos, neg)
+            flat[j] = orig
+            fd = (up - down) / (2 * h)
+            denom = max(abs(fd), abs(gflat[j]), 1e-8)
+            assert abs(gflat[j] - fd) / denom <= 1e-4
 
 
 # -- 4. incremental loop contract --------------------------------------------

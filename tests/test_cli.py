@@ -558,6 +558,18 @@ class TestRunDirectory:
             del got[name], want[name]
         assert got == want
 
+    @pytest.mark.parametrize("schedule", ["5,0", "5,-3"])
+    @pytest.mark.parametrize("strategy", ["random", "qbc"])
+    def test_schedule_entry_below_one_is_one_error_line(self, tmp_path, capsys, schedule, strategy):
+        code, out, err = run_cli(
+            capsys, "run-al", "--synthetic", "--iterations", "2", "--profile", "desk",
+            "--strategy", strategy, "--set", f"schedule={schedule}", "--out", str(tmp_path / "run"),
+        )
+        entry = schedule.split(",")[1]
+        assert code == 1 and not out
+        assert err == f"error: schedule entry 2 is {entry}; each entry must be >= 1\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("blob", [b"{}", b"[1]", b"{"],
                              ids=["missing-key", "not-an-object", "bad-json"])
     def test_malformed_initial_checkpoint_is_one_error_line(self, tmp_path, capsys, blob):
@@ -632,6 +644,57 @@ class TestPersistedConfig:
         edit_config(run_copy, lambda d: (d.pop("cost"), d["ranker"].pop("sigma")))
         config, _, _ = load_run(run_copy)
         assert config.cost == CostConfig() and config.ranker.sigma == RankerConfig().sigma
+
+
+class TestMalformedRunFiles:
+    """A run file that is no JSON, or an iteration file that holds no
+    iteration state, is one error line naming the file."""
+
+    @pytest.mark.parametrize("text", ["{}", "[]", '{"iteration": 2}', "{"],
+                             ids=["empty-object", "list", "iteration-only", "bad-json"])
+    @pytest.mark.parametrize("command", ["report", "resume"])
+    def test_iteration_file(self, run_copy, capsys, command, text):
+        path = run_copy / "iter_0002.json"
+        path.write_text(text)
+        flag = "--in" if command == "report" else "--out"
+        code, out, err = run_cli(capsys, command, flag, str(run_copy))
+        assert code == 1 and not out
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("name, command", [
+        ("config.json", "report"), ("config.json", "resume"), ("data.json", "resume"),
+    ])
+    def test_invalid_json(self, run_copy, capsys, name, command):
+        path = run_copy / name
+        path.write_text('{"kind": ')
+        flag = "--in" if command == "report" else "--out"
+        code, out, err = run_cli(capsys, command, flag, str(run_copy))
+        assert code == 1 and not out
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: Expecting value")
+
+
+class TestRetiredBiArchitecture:
+    """Run files and checkpoints of the deleted bi-encoder are refused with
+    one error line that names it."""
+
+    def test_resume_of_a_bi_run(self, run_copy, capsys):
+        edit_config(run_copy, lambda d: d["ranker"].update(architecture="bi"))
+        code, out, err = run_cli(capsys, "resume", "--out", str(run_copy))
+        assert code == 1 and not out
+        assert err.count("\n") == 1 and err.startswith("error: ") and "'bi'" in err
+
+    def test_bi_initial_checkpoint(self, tmp_path, capsys):
+        ckpt = tmp_path / "bi.ckpt"
+        blob = json.dumps({"version": 1, "architecture": "bi", "shape": [128, 64]}).encode()
+        ckpt.write_bytes(b"ALRK" + len(blob).to_bytes(4, "little") + blob + bytes(8 * 128 * 64))
+        code, out, err = run_cli(
+            capsys, "run-al", "--synthetic", "--scenario", "retrain", "--initial-checkpoint",
+            str(ckpt), "--iterations", "1", "--batch", "5", *SMALL_RANKER,
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 1 and not out
+        assert err.count("\n") == 1 and err.startswith("error: ") and "'bi'" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestResumeDataJson:

@@ -24,13 +24,33 @@ from alrank.experiment import (
     report_rows,
     run_variability,
 )
-from alrank.ranker import Ranker, RankerConfig, save_checkpoint
+from alrank.ranker import ARCHITECTURES, Ranker, RankerConfig, save_checkpoint
 from alrank.selection import STRATEGIES, SelectionConfig
 
 TINY_RANKER = RankerConfig(
     architecture="cross", dim=64, hash_buckets=128,
     learning_rate=0.3, epochs_selection=2, epochs_evaluation=4,
 )
+
+
+# sha256 of each iteration file of a 2-iteration uncertainty run per
+# architecture, recorded while ranker.py still had the bi-encoder: the
+# checkpoints hold the trained selection states, and the JSON the picks made
+# with them and the nDCG. An architecture added to the table needs its pin here.
+RUN_FILE_PINS = {
+    "cross": {
+        "iter_0001.ckpt": "a290b46af6f0edde70c5dfa2138fa6ab05eeb2c306367dcc06f7ba1e1ff48654",
+        "iter_0001.json": "478104ca09b3d097ab6b307849b46cc1058904a5bd455abdc5e0b53acf106972",
+        "iter_0002.ckpt": "c75bcee8aad3d4b8bf7105174f4bf1df39942bfafad476b68d113cd7115682a3",
+        "iter_0002.json": "6423d3359ae70f5061d3e04b552af34621c35ce896080e50a87992f7f69b5088",
+    },
+    "maxsim": {
+        "iter_0001.ckpt": "0e4b2195f0d1c048941e0284c8122a878aac6660f5e1b6096fd8d98aecd657a9",
+        "iter_0001.json": "37721ab23a79879990753af9e009bdbe3157caae0cd9da4af959efd339e51a69",
+        "iter_0002.ckpt": "3eab583df3bbea045dce0b7fc7f9351348ed238b2c95b2d41067167e5034b0c1",
+        "iter_0002.json": "14703708c7496149bf69448c8e2f1de20d24e1240a4a84b816710fded0fadbb1",
+    },
+}
 
 
 def tiny_config(strategy="random", **overrides) -> ExperimentConfig:
@@ -65,6 +85,11 @@ class TestExperimentConfig:
     def test_schedule_length_must_match(self):
         with pytest.raises(ValueError, match="schedule length"):
             tiny_config(schedule=(5, 5, 5))
+
+    @pytest.mark.parametrize("schedule", [(5, 0), (5, -3)])
+    def test_schedule_entries_below_one_rejected(self, schedule):
+        with pytest.raises(ValueError, match=f"schedule entry 2 is {schedule[1]};"):
+            tiny_config(schedule=schedule)
 
     def test_schedule_overrides_batch(self):
         config = tiny_config(schedule=(2, 7))
@@ -170,23 +195,15 @@ class TestRunLoop:
             assert row["C_total"] == pytest.approx(row["C_A"] + row["C_C"], abs=1e-12)
             assert row["C_A"] == pytest.approx(row["assessments"] / 75 * 50, abs=1e-9)
 
-    def test_bi_run_files_pinned(self, tiny_bundle, tmp_path):
-        # sha256 of each iteration file of a 2-iteration bi run, recorded when
-        # training still added each group of triplets into a dense batch
-        # gradient: the checkpoints hold the trained selection states, and the
-        # JSON the uncertainty picks made with them and the nDCG
-        ranker = replace(TINY_RANKER, architecture="bi", batch_size=4)
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_run_files_pinned(self, tiny_bundle, tmp_path, arch):
+        ranker = replace(TINY_RANKER, architecture=arch, batch_size=4)
         Experiment(tiny_config("uncertainty", ranker=ranker), tiny_bundle, tmp_path).run()
         digests = {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(tmp_path.glob("iter_*"))
         }
-        assert digests == {
-            "iter_0001.ckpt": "478efeecfa0bac6cba8d2daa7edf9fda616f04b5655f1849efc35fc04ba0548a",
-            "iter_0001.json": "9874472b197f4632d5ae7ed04946bfbdd438ef95d8392a2d0ac3106b6460f8d3",
-            "iter_0002.ckpt": "07f526fa975eb533ebd38712b8bacb65be64ff095de08d0b8562b2dab468c162",
-            "iter_0002.json": "3d4ed949bd416dac2930456bb0d90d02cac3df20f12fda3f61e4927a025a9483",
-        }
+        assert digests == RUN_FILE_PINS[arch]
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +295,7 @@ def test_test_set_without_judged_query_runs_to_the_end(tiny_data):
     assert states[-1].triplets and all(s.ndcg10 == 0.0 for s in states)
 
 
-@pytest.mark.parametrize("arch", ["cross", "maxsim"])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_annotation_reranks_each_query_once(tiny_bundle, tmp_path, monkeypatch, arch):
     """Pairs of one query walk one reranking of its candidates: one
     `Ranker.rerank` per distinct selected query, and the same run files as a
@@ -748,7 +765,7 @@ class TestEvaluationWorker:
         return parent_branches
 
     @pytest.mark.parametrize("slow", ["worker", "parent"])
-    @pytest.mark.parametrize("arch", ["cross", "maxsim"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_worker_evaluates_the_states_inline_evaluation_does(
         self, tiny_bundle, tmp_path, monkeypatch, forks, arch, slow
     ):
@@ -1041,7 +1058,7 @@ class TestSharedRanker:
         """A bundle of its own whose cross and maxsim rankers were warmed by
         runs of every strategy at seeds other than the checked one (0)."""
         bundle = make_bundle(*tiny_data)
-        for arch in ("cross", "maxsim"):
+        for arch in ARCHITECTURES:
             for strategy in STRATEGIES:
                 for seed in (1, 2):
                     ranker = replace(TINY_RANKER, architecture=arch)

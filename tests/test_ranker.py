@@ -13,6 +13,7 @@ from alrank.datamodel import Corpus, QuerySet, RankedList, TrainingTriplet
 from alrank.experiment import Experiment, ExperimentConfig
 from alrank.lexical import build_index, tokenize
 from alrank.ranker import (
+    ARCHITECTURES,
     Ranker,
     RankerConfig,
     load_checkpoint,
@@ -126,14 +127,15 @@ class TestRankNetLoss:
 
 
 class TestScoring:
-    def test_zero_weights_score_zero(self):
-        for arch in ("cross", "bi", "maxsim"):
-            ranker = small_ranker(arch)
-            state = np.zeros_like(ranker.init_state(0))
-            assert ranker.score(state, "apple pear", "pear fig") == 0.0
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_zero_weights_score_zero(self, arch):
+        ranker = small_ranker(arch)
+        state = np.zeros_like(ranker.init_state(0))
+        assert ranker.score(state, "apple pear", "pear fig") == 0.0
 
-    def test_empty_texts_score_zero(self):
-        ranker = small_ranker("bi")
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_empty_texts_score_zero(self, arch):
+        ranker = small_ranker(arch)
         state = ranker.init_state(3)
         assert ranker.score(state, "", "apple") == 0.0
         assert ranker.score(state, "apple", "") == 0.0
@@ -162,19 +164,19 @@ class TestScoring:
                 float(state @ phi), rel=1e-12, abs=1e-15
             )
 
-    def test_bi_repeated_token_mean(self):
-        ranker = small_ranker("bi")
+    def test_maxsim_repeated_token_mean(self):
+        ranker = small_ranker("maxsim")
         state = ranker.init_state(2)
         np.testing.assert_allclose(
             ranker.encode_query(state, "apple apple"), ranker.encode_query(state, "apple")
         )
 
-    def test_encode_query_shape_and_empty(self):
-        for arch in ("cross", "bi", "maxsim"):
-            ranker = small_ranker(arch, dim=16)
-            state = ranker.init_state(0)
-            assert ranker.encode_query(state, "apple pear").shape == (16,)
-            assert not ranker.encode_query(state, "").any()
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_encode_query_shape_and_empty(self, arch):
+        ranker = small_ranker(arch, dim=16)
+        state = ranker.init_state(0)
+        assert ranker.encode_query(state, "apple pear").shape == (16,)
+        assert not ranker.encode_query(state, "").any()
 
     def test_score_is_pure(self):
         ranker = small_ranker("maxsim")
@@ -273,7 +275,7 @@ class TestTokenCache:
         assert q[0] is d2[1] and q[1] is d1[0] is d2[2] and d1[1] is d2[0]
         assert not ranker._bucket_cache
 
-    @pytest.mark.parametrize("arch", ["bi", "maxsim"])
+    @pytest.mark.parametrize("arch", [a for a in ARCHITECTURES if a != "cross"])
     def test_embedding_models_keep_only_bucket_arrays(self, arch):
         ranker = small_ranker(arch)
         state = ranker.init_state(0)
@@ -296,9 +298,10 @@ class TestRerank:
         expected = sorted(scores.items(), key=lambda e: (-e[1], e[0]))
         assert result.doc_ids() == [d for d, _ in expected]
 
-    def test_zero_state_falls_back_to_docid_order(self):
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_zero_state_falls_back_to_docid_order(self, arch):
         corpus = Corpus({"b": "x", "a": "y", "c": "z"})
-        ranker = small_ranker("bi")
+        ranker = small_ranker(arch)
         state = np.zeros_like(ranker.init_state(0))
         candidates = RankedList("q", [("b", 3.0), ("a", 2.0), ("c", 1.0)])
         assert ranker.rerank(state, "x", candidates, corpus).doc_ids() == ["a", "b", "c"]
@@ -317,9 +320,10 @@ class TestRerank:
         assert got.doc_ids() == ["d1", "d4", "d7", "d0", "d2", "d3", "d5", "d6"]
         assert repr(got.entries) == repr(want.entries)
 
-    def test_bi_full_retrieval_equals_full_rerank(self, tiny_bundle):
-        # exhaustive dot-product scoring over the corpus == rerank with all docs
-        ranker = small_ranker("bi", dim=8, buckets=64)
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_full_retrieval_equals_full_rerank(self, tiny_bundle, arch):
+        # exhaustive scoring over the corpus == rerank with all docs
+        ranker = small_ranker(arch, dim=8, buckets=64)
         state = ranker.init_state(3)
         qid, text = next(iter(tiny_bundle.train_queries.items()))
         all_docs = RankedList(qid, [(d, 0.0) for d in tiny_bundle.corpus.ids()])
@@ -363,7 +367,7 @@ def ranknet_losses(ranker, state, q, pos, neg):
     )
 
 
-@pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_full_model_gradient_finite_differences(arch):
     for seed in range(25):
         _finite_difference_check(arch, seed)
@@ -385,11 +389,6 @@ def _oracle_loss_and_gradient(ranker, state, query, pos, neg):
             continue
         qb, db = ranker._buckets(query), ranker._buckets(doc)
         emb = state
-        if arch == "bi":
-            vq, vd = emb[qb].mean(axis=0), emb[db].mean(axis=0)
-            np.add.at(grad, qb, g * vd / qb.size)
-            np.add.at(grad, db, g * vq / db.size)
-            continue
         best = (emb[qb] @ emb[db].T).argmax(axis=1)
         np.add.at(grad, qb, g * emb[db[best]])
         np.add.at(grad, db[best], g * emb[qb])
@@ -474,7 +473,7 @@ class TestSparseTrainingExactness:
         TrainingTriplet("q4", "d6", "d2"),
     ]
 
-    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_gradient_equals_dense_oracle(self, arch):
         ranker = small_ranker(arch, dim=6, buckets=8)
         state = ranker.init_state(4)
@@ -487,7 +486,7 @@ class TestSparseTrainingExactness:
             assert loss == want_loss
             assert _same_bytes(grad, want), t
 
-    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_train_equals_dense_oracle(self, arch):
         ranker = small_ranker(arch, dim=6, buckets=8, batch_size=3, learning_rate=0.3)
         state = ranker.init_state(11)
@@ -498,7 +497,7 @@ class TestSparseTrainingExactness:
         assert not np.array_equal(trained, state)
 
     @pytest.mark.parametrize("batch_size", [1, 50])
-    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_one_triplet_and_oversized_batches_equal_dense_oracle(self, arch, batch_size):
         # batch_size=1: one update per triplet; 50 > 7 triplets: one update per epoch
         ranker = small_ranker(arch, dim=6, buckets=8, batch_size=batch_size, learning_rate=0.3)
@@ -509,7 +508,7 @@ class TestSparseTrainingExactness:
         assert _same_bytes(trained, want)
         assert not np.array_equal(trained, state)
 
-    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_prepared_triplets_reused_over_batches_and_epochs(self, arch):
         # repeated triplets (within and across batches), a triplet of two
         # token-less docs and one with a token-less query: 5 batches of 4 in
@@ -527,7 +526,7 @@ class TestSparseTrainingExactness:
         assert _same_bytes(trained, want)
         assert not np.array_equal(trained, state)
 
-    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_warm_ranker_trains_to_the_state_of_a_fresh_one(self, arch):
         # earlier calls on overlapping subsets, from other states and seeds,
         # prepare every triplet, so the checked call takes each from the memo
@@ -549,10 +548,10 @@ class TestSparseTrainingExactness:
         assert all(warm._triplet_cache[key] is value for key, value in prepared.items())
         assert _same_bytes(got, _oracle_train(fresh, state, *args))
 
-    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_negative_zero_weights_and_saturated_scores_equal_dense_oracle(self, arch):
         # sigma 1e4 saturates RankNet: a positive doc scored well above its
-        # negative gets g = -0.0, so gradient terms are +-0.0 and a bi or
+        # negative gets g = -0.0, so gradient terms are +-0.0 and a
         # maxsim row sum can be -0.0 where the dense gradient's is 0.0; half
         # the weights are -0.0, which an update by -0.0 would turn into 0.0
         ranker = small_ranker(arch, dim=6, buckets=8, batch_size=3, learning_rate=0.3, sigma=1e4)
@@ -574,7 +573,7 @@ class TestSparseTrainingExactness:
         args = (self.TRIPLETS, self.CORPUS, self.QUERIES, 2, 7)
         assert _same_bytes(ranker.train(state, *args), _oracle_train(ranker, state, *args))
 
-    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_realistic_width_equals_dense_oracle_bytes(self, arch):
         triplets, corpus, queries = _realistic_training_data(seed=3)
         ranker = small_ranker(arch, dim=64, buckets=16, batch_size=32, learning_rate=0.3)
@@ -631,7 +630,7 @@ def test_ordered_sums_equal_sequential_loop_bytes(n_keys, width, rows_as_functio
 
 
 @pytest.mark.parametrize("batch_size", [7, 16, 25])
-@pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+@pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_batches_not_dividing_the_triplets_equal_dense_oracle_bytes(arch, batch_size):
     """60 triplets in batches of 7, 16 or 25: every epoch ends with a shorter
     batch, whose gradient is divided by its own size."""
@@ -655,8 +654,6 @@ def _oracle_score(ranker, state, query, doc):
         return float(state[idx] @ vals)
     emb = state
     qb, db = ranker._buckets(query), ranker._buckets(doc)
-    if arch == "bi":
-        return float(emb[qb].mean(axis=0) @ emb[db].mean(axis=0))
     return float((emb[qb] @ emb[db].T).max(axis=1).sum())
 
 
@@ -673,7 +670,7 @@ class TestScoreBatchExactness:
         queries = [" ".join(rng.choice(words, size=k)) for k in (1, 2, 3, 5, 8)]
         return queries + ["", "..."], docs
 
-    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_equals_per_document_scores(self, arch):
         ranker = small_ranker(arch, dim=64, buckets=32)
         oracle = small_ranker(arch, dim=64, buckets=32)
@@ -891,7 +888,7 @@ class TestIndexedCrossPlan:
         assert seen == set(mixed)
 
     def test_other_architectures_ignore_the_index(self, tiny_bundle):
-        for arch in ("bi", "maxsim"):
+        for arch in (a for a in ARCHITECTURES if a != "cross"):
             ranker = Ranker(RankerConfig(architecture=arch), tiny_bundle.corpus, tiny_bundle.index)
             assert not ranker._ordinals
 
@@ -905,15 +902,15 @@ class TestTraining:
         triplets = [TrainingTriplet("q1", "p1", "n1"), TrainingTriplet("q2", "p2", "n2")]
         return corpus, queries, triplets
 
-    def test_loss_decreases(self):
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_loss_decreases(self, arch):
         corpus, queries, triplets = self._setup()
-        for arch in ("cross", "bi", "maxsim"):
-            ranker = small_ranker(arch, learning_rate=0.1)
-            state = ranker.init_state(0)
-            before = mean_loss(ranker, state, triplets, corpus, queries)
-            trained = ranker.train(state, triplets, corpus, queries, epochs=20, seed=1)
-            after = mean_loss(ranker, trained, triplets, corpus, queries)
-            assert after < before, arch
+        ranker = small_ranker(arch, learning_rate=0.1)
+        state = ranker.init_state(0)
+        before = mean_loss(ranker, state, triplets, corpus, queries)
+        trained = ranker.train(state, triplets, corpus, queries, epochs=20, seed=1)
+        after = mean_loss(ranker, trained, triplets, corpus, queries)
+        assert after < before
 
     def test_training_is_pure_and_deterministic(self):
         corpus, queries, triplets = self._setup()
@@ -927,9 +924,10 @@ class TestTraining:
         c = ranker.train(state, triplets, corpus, queries, epochs=3, seed=10)
         assert not np.array_equal(a, c)
 
-    def test_zero_learning_rate_keeps_state(self):
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_zero_learning_rate_keeps_state(self, arch):
         corpus, queries, triplets = self._setup()
-        ranker = small_ranker("bi", learning_rate=0.0)
+        ranker = small_ranker(arch, learning_rate=0.0)
         state = ranker.init_state(2)
         trained = ranker.train(state, triplets, corpus, queries, epochs=1, seed=0)
         np.testing.assert_array_equal(trained, state)
@@ -965,14 +963,14 @@ class TestTraining:
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        for arch in ("cross", "bi", "maxsim"):
-            ranker = small_ranker(arch)
-            state = ranker.init_state(3)
-            path = tmp_path / f"{arch}.ckpt"
-            save_checkpoint(state, path, ranker.config)
-            assert _same_bytes(load_checkpoint(path), state)
-            assert _same_bytes(load_checkpoint(path, ranker.config), state)
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_round_trip_bit_exact(self, tmp_path, arch):
+        ranker = small_ranker(arch)
+        state = ranker.init_state(3)
+        path = tmp_path / f"{arch}.ckpt"
+        save_checkpoint(state, path, ranker.config)
+        assert _same_bytes(load_checkpoint(path), state)
+        assert _same_bytes(load_checkpoint(path, ranker.config), state)
 
     def test_header_holds_architecture_and_shape(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -983,7 +981,7 @@ class TestCheckpoint:
         assert header == {"version": 1, "architecture": "maxsim", "shape": [48, 16]}
         assert len(data) == 8 + size + 8 * 48 * 16
 
-    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_legacy_layout_loads_bit_identical(self, tmp_path, arch, write_legacy_checkpoint):
         """A checkpoint written while a state was a dict of named arrays, with
         a step and a config fingerprint in its header, loads to its weights."""
@@ -996,13 +994,12 @@ class TestCheckpoint:
         write_legacy_checkpoint(path, trained, ranker.config, step=6)
         for config in (None, ranker.config):
             assert _same_bytes(load_checkpoint(path, config), trained)
-        other = "maxsim" if arch == "bi" else "bi"
+        other = "maxsim" if arch == "cross" else "cross"
         with pytest.raises(ValueError, match="architecture"):
             load_checkpoint(path, small_ranker(other).config)
 
-    @pytest.mark.parametrize("saved, wanted", [("cross", "bi"), ("bi", "maxsim"), ("maxsim", "bi")])
+    @pytest.mark.parametrize("saved, wanted", [("cross", "maxsim"), ("maxsim", "cross")])
     def test_architecture_mismatch(self, tmp_path, saved, wanted):
-        # bi and maxsim states have one shape: only the header tells them apart
         ranker = small_ranker(saved)
         path = tmp_path / "c.ckpt"
         save_checkpoint(ranker.init_state(0), path, ranker.config)
@@ -1011,7 +1008,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("arch, saved, wanted, found, expected", [
         ("cross", dict(dim=1024), dict(dim=512), "(1024,)", "(512,)"),
-        ("bi", dict(buckets=64), dict(buckets=48), "(64, 16)", "(48, 16)"),
+        ("maxsim", dict(buckets=64), dict(buckets=48), "(64, 16)", "(48, 16)"),
         ("maxsim", dict(dim=32), dict(dim=16), "(48, 32)", "(48, 16)"),
     ])
     def test_shape_mismatch_names_the_file_and_both_shapes(
@@ -1028,7 +1025,7 @@ class TestCheckpoint:
         assert str(path) in message and found in message and expected in message
         assert _same_bytes(load_checkpoint(path, saved_ranker.config), saved_ranker.init_state(0))
 
-    @pytest.mark.parametrize("arch", ["cross", "bi", "maxsim"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_state_of_another_shape_rejected(self, arch):
         ranker, wide = small_ranker(arch), small_ranker(arch, dim=32)
         with pytest.raises(ValueError, match=r"shape .*does not match"):

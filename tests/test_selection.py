@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from alrank import selection
 from alrank.datamodel import Corpus, QuerySet, RankedList, Run
-from alrank.ranker import Ranker, RankerConfig
+from alrank.ranker import ARCHITECTURES, Ranker, RankerConfig
 from alrank.selection import (
     SelectionConfig,
     kmeans,
@@ -484,6 +484,13 @@ class TestSelectQbc:
         with pytest.raises(ValueError, match="at least 2"):
             select_qbc(ranker, [ranker.init_state(0)], queries.ids(), queries, run, corpus, 6, 3)
 
+    def test_s_below_one_rejected(self):
+        corpus, queries, run = self._fixture()
+        ranker = Ranker(RankerConfig(architecture="cross", dim=16))
+        committee = [ranker.init_state(1), ranker.init_state(2)]
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            select_qbc(ranker, committee, queries.ids(), queries, run, corpus, 6, 0)
+
     def test_pair_depth_validation(self):
         corpus, queries, run = self._fixture()
         ranker = Ranker(RankerConfig(architecture="cross", dim=16))
@@ -534,7 +541,7 @@ class TestPicksEqualRerankBruteForce:
 
     DEPTH = 12
 
-    @pytest.mark.parametrize("arch", ["cross", "maxsim"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     @pytest.mark.parametrize("one_pair_per_query", [False, True])
     def test_uncertainty(self, tiny_bundle, arch, one_pair_per_query):
         ranker = Ranker(RankerConfig(architecture=arch, dim=32, hash_buckets=64))
@@ -562,7 +569,7 @@ class TestPicksEqualRerankBruteForce:
                                  self.DEPTH, 9, one_pair_per_query=one_pair_per_query)
         assert got == ranked[:9]
 
-    @pytest.mark.parametrize("arch", ["cross", "maxsim"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     @pytest.mark.parametrize("pair_depth", [None, 4])
     def test_qbc(self, tiny_bundle, arch, pair_depth):
         ranker = Ranker(RankerConfig(architecture=arch, dim=32, hash_buckets=64))
@@ -751,21 +758,21 @@ class TestKmeans:
 class TestSelectDiversity:
     def test_full_pool(self):
         queries = QuerySet({f"q{i}": f"tok{i}" for i in range(5)})
-        ranker = Ranker(RankerConfig(architecture="bi", dim=8, hash_buckets=32))
+        ranker = Ranker(RankerConfig(architecture="maxsim", dim=8, hash_buckets=32))
         state = ranker.init_state(0)
         out = select_diversity(ranker, state, queries.ids(), queries, 5, np.random.default_rng(0))
         assert sorted(out) == sorted(queries.ids())
 
     def test_identical_embeddings_still_distinct(self):
         queries = QuerySet({f"q{i}": "same text" for i in range(6)})
-        ranker = Ranker(RankerConfig(architecture="bi", dim=8, hash_buckets=32))
+        ranker = Ranker(RankerConfig(architecture="maxsim", dim=8, hash_buckets=32))
         state = ranker.init_state(0)
         out = select_diversity(ranker, state, queries.ids(), queries, 3, np.random.default_rng(1))
         assert len(out) == len(set(out)) == 3
 
     def test_s_exceeds_pool(self):
         queries = QuerySet({"q1": "a"})
-        ranker = Ranker(RankerConfig(architecture="bi", dim=8, hash_buckets=32))
+        ranker = Ranker(RankerConfig(architecture="maxsim", dim=8, hash_buckets=32))
         with pytest.raises(ValueError, match="exceeds pool"):
             select_diversity(ranker, ranker.init_state(0), ["q1"], queries, 2, np.random.default_rng(0))
 
@@ -779,7 +786,7 @@ class TestSelectDiversity:
                 texts[f"{t}_q{i}"] = text if i % 2 == 0 else " ".join(reversed(text.split()))
         queries = QuerySet(texts)
         pool = queries.ids()
-        ranker = Ranker(RankerConfig(architecture="bi", dim=64, hash_buckets=256))
+        ranker = Ranker(RankerConfig(architecture="maxsim", dim=64, hash_buckets=256))
         state = ranker.init_state(1)
         good = 0
         trials = 1000
@@ -793,7 +800,7 @@ class TestSelectDiversity:
         """One draw per cluster from its members in sorted-pool order, as a
         Python scan of the pool per cluster gives them."""
         queries = QuerySet({f"q{i:02d}": f"tok{i % 5} tok{i % 3} w{i}" for i in range(14)})
-        ranker = Ranker(RankerConfig(architecture="bi", dim=8, hash_buckets=32))
+        ranker = Ranker(RankerConfig(architecture="maxsim", dim=8, hash_buckets=32))
         state = ranker.init_state(0)
         pool = sorted(queries.ids())
         points = np.array([ranker.encode_query(state, queries[q]) for q in pool])
